@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
+from .errors import (BadPrime, BudgetExceeded, DimensionTooLarge,
+                     ShapeMismatch)
 from .fields import (
     QI,
     QQ,
@@ -720,7 +721,7 @@ def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityV
         try:
             Lq = L.reduce_mod(p)
             Lpq = Lp.reduce_mod(p)
-        except Exception as exc:  # BadPrime: substitute the next prime
+        except BadPrime as exc:  # substitute the next prime
             info["skipped"] = f"{type(exc).__name__}: {exc}"
             try:
                 plan.append(next(fallback))
@@ -894,7 +895,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         ev["ff"][str(p)] = info
         try:
             Lq = L.reduce_mod(p)
-        except Exception as exc:
+        except BadPrime as exc:
             info["skipped"] = f"{type(exc).__name__}: {exc}"
             try:
                 plan.append(next(fallback))

@@ -1,14 +1,22 @@
 """Batched linear algebra over GF(p) on numpy integer arrays.
 
 This is the performance lane behind the exhaustive finite-field searches.
-Every witness or certification produced here is re-verified by the exact
-kernel, so nothing in this module is trusted for soundness, only for speed.
-Enumeration orders are documented and deterministic; chunked scans return
-the same winner a sequential scan would (first index in enumeration order).
+Every witness produced here is re-verified by the exact kernel; a scan that
+finds no failure certifies a verdict on its own, so the arithmetic below is
+exact by construction, not by tolerance.  Enumeration orders are documented
+and deterministic; chunked scans return the same winner a sequential scan
+would (first index in enumeration order).
 
 Matrix products route through float64 BLAS: all operands are reduced
 residues, so the integer products stay far below 2^53 and the rounded
 results are exact.
+
+Ranks come from a swap-free elimination that reduces lazily: only the
+pivot column and pivot row are taken mod p, and every other entry absorbs
+at most C updates, each a product of two residues.  Entries of a (B, R, C)
+batch therefore stay within (p-1) + C (p-1)^2 in absolute value, and the
+kernel works in the narrowest signed integer dtype holding that bound:
+int16 for the shipped primes at the scan shapes, int32 or int64 beyond.
 """
 
 from __future__ import annotations
@@ -42,58 +50,98 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the integer array x into [0, p) in place and return it.
+    Floor division by a scalar is vectorised, which makes this several
+    times faster than np.remainder on small integer types."""
+    x -= (x // p) * p
+    return x
+
+
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p via float64 BLAS; operands must be reduced
     residues and the inner dimension small enough that every accumulated
-    product stays below 2^53 (true for p <= 2^13 and inner dim < 2^26)."""
-    prod = np.rint(a.astype(np.float64) @ b.astype(np.float64))
-    return np.mod(prod.astype(np.int64), p).astype(np.int32)
+    product stays below 2^53 (true for p <= 2^13 and inner dim < 2^26).
+
+    The product is rounded in place and cast once, to int32 unless its
+    entries can exceed int32, then reduced in place: besides the float64
+    product only the integer result and one temporary of its size exist."""
+    prod = a.astype(np.float64) @ b.astype(np.float64)
+    np.rint(prod, out=prod)
+    wide = a.shape[-1] * (p - 1) ** 2 > np.iinfo(np.int32).max
+    out = prod.astype(np.int64 if wide else np.int32)
+    del prod
+    return _reduce(out, p).astype(np.int32, copy=False)
+
+
+def _rank_dtype(p: int, C: int) -> np.dtype:
+    """Narrowest signed integer dtype holding every entry of the lazy
+    elimination in batched_rank_mod_p: |x| <= (p-1) + C (p-1)^2."""
+    bound = (p - 1) + C * (p - 1) ** 2
+    for dt in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise ValueError(f"p = {p} is too large for the numpy rank kernel")
 
 
 def batched_rank_mod_p(mats: np.ndarray, p: int,
                        inv: np.ndarray | None = None) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p).
 
-    mats has shape (B, R, C) with entries already reduced into [0, p).
+    mats has shape (B, R, C); entries outside [0, p) are reduced first.
+
+    Gaussian elimination without row swaps on a column-major working copy
+    of shape (C, B, R), so that column c of every matrix, and the block of
+    columns after it, are contiguous.  The pivot of column c is the first
+    row that is nonzero there, and only columns c+1.. are updated.  The
+    update also cancels the pivot row's own trailing entries mod p, so a
+    row used as a pivot is never chosen again, and a matrix without a
+    pivot in column c gets a zero update because inv[0] == 0.
+
+    Reduction is lazy: only the pivot column and the pivot row are taken
+    mod p, so each update subtracts a product of two residues and, over at
+    most C updates, every entry stays within (p-1) + C (p-1)^2 in absolute
+    value.  The working dtype is the narrowest signed integer type holding
+    that bound (int16 for small p and C), so every rank is exact.
     """
-    A = np.ascontiguousarray(mats, dtype=np.int32) % p
-    if A.ndim != 3:
+    mats = np.asarray(mats)
+    if mats.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) array")
-    B, R, C = A.shape
-    if B == 0:
-        return np.zeros(0, dtype=np.int64)
+    B, R, C = mats.shape
+    rank = np.zeros(B, dtype=np.int64)
+    if B == 0 or R == 0 or C == 0:
+        return rank
+    if mats.min() < 0 or mats.max() >= p:
+        mats = mats % p
     if inv is None:
         inv = inverse_table(p)
-    row = np.zeros(B, dtype=np.int64)
-    rr = np.arange(R, dtype=np.int64)
+    dt = _rank_dtype(p, C)
+    inv = inv.astype(dt)
+    A = np.empty((C, B, R), dtype=dt)
+    A[...] = mats.transpose(2, 0, 1)
     arange_b = np.arange(B)
     maxrank = min(R, C)
+    # scratch for the rank-one update of the trailing columns
+    buf = np.empty((C - 1) * B * R, dtype=dt)
     for c in range(C):
-        if (row >= maxrank).all():
-            break
-        col = A[:, :, c]
-        elig = (col != 0) & (rr[None, :] >= row[:, None])
-        has = elig.any(axis=1)
+        col = _reduce(A[c], p)
+        nonzero = col != 0
+        pr = np.argmax(nonzero, axis=1)
+        has = nonzero[arange_b, pr]
         if not has.any():
             continue
-        bidx = np.nonzero(has)[0]
-        rb = row[bidx]
-        pr = np.argmax(elig[bidx], axis=1)
-        pivrow = A[bidx, pr, :]
-        pivnorm = (pivrow.astype(np.int64)
-                   * inv[pivrow[:, c]].astype(np.int64)[:, None]) % p
-        pivnorm = pivnorm.astype(np.int32)
-        cur = A[bidx, rb, :].copy()
-        A[bidx, pr, :] = cur
-        A[bidx, rb, :] = pivnorm
-        below = (rr[None, :] > row[:, None]) & has[:, None]
-        fac = np.where(below, A[:, :, c], 0)
-        pn_full = np.zeros((B, C), dtype=np.int32)
-        pn_full[bidx] = pivnorm
-        A -= fac[:, :, None] * pn_full[:, None, :]
-        A %= p
-        row[bidx] += 1
-    return row
+        rank += has
+        if c == C - 1 or (rank >= maxrank).all():
+            break
+        scale = inv[col[arange_b, pr]]
+        piv = _reduce(A[c + 1:, arange_b, pr], p)
+        piv *= scale
+        _reduce(piv, p)
+        tail = A[c + 1:]
+        upd = buf[:tail.size].reshape(tail.shape)
+        np.multiply(piv[:, :, None], col, out=upd)
+        tail -= upd
+    return rank
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -450,6 +450,22 @@ def test_bad_prime_fallback():
     assert v.primes == (7, 11)
 
 
+def test_prime_loop_does_not_swallow_bugs(monkeypatch):
+    # only BadPrime may turn a prime into a skipped one; any other error
+    # raised while reducing is a bug and must reach the caller
+    from translab.subspace import MatrixSubspace
+
+    def broken(self, q):
+        raise RuntimeError("bug in reduce_mod")
+
+    T4 = toeplitz_space(4)
+    monkeypatch.setattr(MatrixSubspace, "reduce_mod", broken)
+    with pytest.raises(RuntimeError, match="bug in reduce_mod"):
+        check_k_transitive(T4, 1)
+    with pytest.raises(RuntimeError, match="bug in reduce_mod"):
+        check_k_separating(T4, 2)
+
+
 def test_quadratic_extension_ambient_check():
     f9 = GF(9)
     from translab.families import build_family, parse_family

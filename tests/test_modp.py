@@ -26,20 +26,46 @@ def test_inverse_table():
             assert (k * int(inv[k])) % p == 1
 
 
+def _exact_rank(f, mat):
+    R, C = mat.shape
+    return Mat(f, R, C, [f.from_int(int(x)) for x in mat.ravel()]).rank()
+
+
+def _batch_with_rank_profile(rng, p, R, C):
+    """Two R x C matrices over GF(p) per rank bound r = 0..min(R, C):
+    products of random R x r and r x C factors, so rank-deficient
+    matrices occur at every p, plus two uniformly random matrices."""
+    mats = []
+    for r in range(min(R, C) + 1):
+        for _ in range(2):
+            X = np.array([[rng.randrange(p) for _ in range(r)]
+                          for _ in range(R)], dtype=np.int64).reshape(R, r)
+            Y = np.array([[rng.randrange(p) for _ in range(C)]
+                          for _ in range(r)], dtype=np.int64).reshape(r, C)
+            mats.append((X @ Y) % p)
+    for _ in range(2):
+        mats.append(np.array([[rng.randrange(p) for _ in range(C)]
+                              for _ in range(R)], dtype=np.int64)
+                    .reshape(R, C))
+    return np.stack(mats)
+
+
 def test_batched_rank_matches_exact():
     rng = random.Random(0)
-    for p in (2, 3, 5, 7):
+    shapes = [(32, 8), (16, 10), (6, 4), (1, 7), (7, 1), (4, 4), (3, 5)]
+    # 43 is the largest fallback prime; 8191 needs a dtype wider than
+    # int16, and at 40 columns wider than int32
+    for p in (2, 3, 5, 7, 43, 8191):
         f = GF(p)
-        mats = []
-        for _ in range(60):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            mats.append([[rng.randrange(p) for _ in range(4)]
-                         for _ in range(4)])
-        arr = np.array(mats, dtype=np.int64)
-        ranks = batched_rank_mod_p(arr, p)
-        for i, rows in enumerate(mats):
-            exact = Mat.from_rows(f, rows).rank()
-            assert int(ranks[i]) == exact
+        for R, C in shapes + ([(3, 40)] if p == 8191 else []):
+            arr = _batch_with_rank_profile(rng, p, R, C)
+            ranks = batched_rank_mod_p(arr, p)
+            assert ranks.tolist() == [_exact_rank(f, M) for M in arr]
+        # degenerate batches: no matrices, no rows, no columns
+        for shape in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]:
+            arr = np.zeros(shape, dtype=np.int64)
+            ranks = batched_rank_mod_p(arr, p)
+            assert ranks.tolist() == [_exact_rank(f, M) for M in arr]
 
 
 def test_projective_enumeration_order_and_count():

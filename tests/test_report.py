@@ -2,12 +2,19 @@
 
 import json
 
-from translab.report import build_report, format_report_table, report_rows
+import pytest
+
+from translab.report import build_report, format_report_table
 from translab.serialize import REPORT_SCHEMA, dumps
 
 
-def test_report_all_rows_pass():
-    report = build_report()
+@pytest.fixture(scope="module")
+def report():
+    """One report build shared by the tests that only read it."""
+    return build_report()
+
+
+def test_report_all_rows_pass(report):
     assert report["schema"] == REPORT_SCHEMA == "translab-report/1"
     assert report["all_ok"], report["failures"]
     assert report["total"] == len(report["rows"]) >= 40
@@ -27,8 +34,8 @@ def test_report_is_deterministic_and_serializable():
     assert table.count("\n") == a["total"]
 
 
-def test_report_soundness_labels_are_explicit():
-    ids = {r["id"]: r for r in report_rows()}
+def test_report_soundness_labels_are_explicit(report):
+    ids = {r["id"]: r for r in report["rows"]}
     assert "finite field" in ids["toeplitz-trans-4"]["soundness"]
     assert ids["trace-zero-trans"]["soundness"] == "exact"
     assert "observation" in ids["rank-extremes-observation"]["soundness"]
