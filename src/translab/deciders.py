@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (BadPrime, BudgetExceeded, DimensionTooLarge,
-                     ShapeMismatch)
+                     ShapeMismatch, VerificationFailed)
 from .fields import (
     QI,
     QQ,
@@ -122,18 +122,7 @@ class TransitivityVerdict:
 
     @property
     def soundness(self) -> str:
-        if self.status == Status.CERTIFIED_EXACT:
-            return "no low-rank obstruction over the algebraic closure"
-        if self.status == Status.CERTIFIED_FINITE_FIELD:
-            fields = ", ".join(f"GF({p})" for p in self.primes)
-            return (f"exhaustively certified over {fields} only; "
-                    "does not transfer to characteristic zero")
-        if self.status == Status.DISPROVED:
-            tag = self.evidence.get("witness_field", "")
-            if tag in ("Q", "Qi"):
-                return f"exact witness over {tag}; valid over every extension"
-            return f"witness over {tag}; valid for that field only"
-        return "no sound conclusion reached within the budget"
+        return _soundness(self.status, self.primes, self.evidence)
 
 
 @dataclass
@@ -148,6 +137,26 @@ class SeparationVerdict:
     def certified(self) -> bool:
         return self.status in (Status.CERTIFIED_EXACT,
                                Status.CERTIFIED_FINITE_FIELD)
+
+    @property
+    def soundness(self) -> str:
+        return _soundness(self.status, self.primes, self.evidence)
+
+
+def _soundness(status: Status, primes: tuple, evidence: dict) -> str:
+    """The soundness label shared by transitivity and separation verdicts."""
+    if status == Status.CERTIFIED_EXACT:
+        return "no low-rank obstruction over the algebraic closure"
+    if status == Status.CERTIFIED_FINITE_FIELD:
+        fields = ", ".join(f"GF({p})" for p in primes)
+        return (f"exhaustively certified over {fields} only; "
+                "does not transfer to characteristic zero")
+    if status == Status.DISPROVED:
+        tag = evidence.get("witness_field", "")
+        if tag in ("Q", "Qi"):
+            return f"exact witness over {tag}; valid over every extension"
+        return f"witness over {tag}; valid for that field only"
+    return "no sound conclusion reached within the budget"
 
 
 @dataclass
@@ -184,15 +193,17 @@ class DefinitionalSample:
 
 # --------------------------------------------------------------- utilities
 
+def _require(cond: bool, what: str) -> None:
+    """Raise VerificationFailed unless cond holds; unlike assert, this
+    check also runs under python -O."""
+    if not cond:
+        raise VerificationFailed(f"{what} failed exact re-verification")
+
+
 def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
     assert isinstance(L.field, PrimeFieldDomain)
-    D, m, n = L.dim, L.rows, L.cols
-    out = np.zeros((D, m, n), dtype=np.int64)
-    for d, B in enumerate(L.basis):
-        for i in range(m):
-            for j in range(n):
-                out[d, i, j] = B[i, j].value
-    return out
+    return np.array([[x.value for x in B.entries()] for B in L.basis],
+                    dtype=np.int64).reshape(L.dim, L.rows, L.cols)
 
 
 def _ints_to_mat(field: Field, arr) -> Mat:
@@ -258,7 +269,7 @@ def min_rank_ff_exhaustive(V: MatrixSubspace,
             tuple(f.from_int(int(c)) for c in coeffs),
             V.element([f.from_int(int(c)) for c in coeffs]),
             best)
-        assert witness.verify(V)
+        _require(witness.verify(V), "rank witness")
         return best, witness
     best = None
     best_coeffs = None
@@ -269,7 +280,7 @@ def min_rank_ff_exhaustive(V: MatrixSubspace,
             if best == 1:
                 break
     witness = RankWitness(tuple(best_coeffs), V.element(best_coeffs), best)
-    assert witness.verify(V)
+    _require(witness.verify(V), "rank witness")
     return best, witness
 
 
@@ -421,7 +432,7 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
         B0 = V.basis[0]
         if B0.rank() <= k:
             w = RankWitness((f.one(),), B0, k)
-            assert w.verify(V)
+            _require(w.verify(V), "rank witness")
             return PencilResult(True, w, f.tag, None)
         return PencilResult(False, None, None, None)
 
@@ -431,7 +442,7 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
     if gcd is None:
         # every (k+1)-minor vanishes identically: all elements have rank <= k
         w = RankWitness((f.one(), f.zero()), B0, k)
-        assert w.verify(V)
+        _require(w.verify(V), "rank witness")
         return PencilResult(True, w, f.tag, None)
     cert = (tuple(gcd.poly), gcd.inf_mult)
     if not gcd.has_projective_root():
@@ -440,7 +451,7 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
         T = B0.scale(c0) + B1.scale(c1)
         if not T.is_zero() and T.rank() <= k:
             w = RankWitness((c0, c1), T, k)
-            assert w.verify(V)
+            _require(w.verify(V), "rank witness")
             return PencilResult(True, w, f.tag, cert)
     if f == QQ:
         # try Gaussian roots of the Q pencil; a Q(i) witness still disproves
@@ -455,7 +466,7 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
             T = Vq.basis[0].scale(c0) + Vq.basis[1].scale(c1)
             if not T.is_zero() and T.rank() <= k:
                 w = RankWitness((c0, c1), T, k)
-                assert w.verify(Vq)
+                _require(w.verify(Vq), "rank witness")
                 return PencilResult(True, w, QI.tag, cert)
     return PencilResult(True, None, None, cert)
 
@@ -537,7 +548,7 @@ def rank_witness_search_numeric(V: MatrixSubspace, k: int, *, seed: int = 0,
         return None
     coeffs, T = hit
     w = RankWitness(tuple(coeffs), T, k)
-    assert w.verify(V)
+    _require(w.verify(V), "rank witness")
     return w
 
 
@@ -571,7 +582,8 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 
     def witness_from(coeffs, T, tag):
         w = RankWitness(tuple(coeffs), T, k)
-        assert w.verify(Lp if T.field == Lp.field else _lift_to_qi(Lp))
+        _require(w.verify(Lp if T.field == Lp.field else _lift_to_qi(Lp)),
+                 "rank witness")
         ev["witness_field"] = tag
         return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
 
@@ -661,7 +673,7 @@ def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
         coeffs, T = _witness_from_failing_input(L, Lp, X, k)
         ev["witness_field"] = f.tag
         w = RankWitness(tuple(coeffs), T, k)
-        assert w.verify(Lp)
+        _require(w.verify(Lp), "rank witness")
         return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
     try:
         ev["steps"].append("exhaustive pre-annihilator route over own field")
@@ -675,7 +687,7 @@ def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
             Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
     ev["witness_field"] = f.tag
     w = RankWitness(tuple(coeffs), T, k)
-    assert w.verify(Lp)
+    _require(w.verify(Lp), "rank witness")
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
 
 
@@ -760,7 +772,7 @@ def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityV
                 info["lifted"] = True
                 ev["witness_field"] = L.field.tag
                 w = RankWitness(tuple(cand), T0, k)
-                assert w.verify(Lp)
+                _require(w.verify(Lp), "rank witness")
                 return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
         info["lifted"] = False
     ev["ff"]["certified_primes"] = certified
@@ -788,7 +800,7 @@ def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
     coeffs = Lp.coordinates_of(T)
     assert coeffs is not None
     w = RankWitness(coeffs, T, k)
-    assert w.verify(Lp)
+    _require(w.verify(Lp), "rank witness")
     ev = {"strategy": "supplied-witness", "witness_field": T.field.tag,
           "steps": ["witness verified by exact elimination"]}
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
@@ -862,7 +874,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         if bad is None:
             return SeparationVerdict(
                 Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
-        assert _verify_separation_violation(L, bad)
+        _require(_verify_separation_violation(L, bad), "separation violation")
         ev["witness_field"] = L.field.tag
         return SeparationVerdict(Status.DISPROVED, k, bad, (), ev)
 
@@ -904,6 +916,9 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             continue
         used.append(p)
         info["points"] = modp.gaussian_binomial(n, k - 1, p)
+        if info["points"] > budget:
+            raise BudgetExceeded(
+                f"{info['points']} flags over GF({p}) exceed the budget")
         bad = _separation_scan_ff(Lq, k)
         if bad is None:
             certified.append(p)
@@ -926,24 +941,23 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 def _separation_scan_ff(L: MatrixSubspace, k: int) -> Optional[Mat]:
     """First violating flag (x_1 .. x_k as an n x k matrix) over the
     subspace's own finite field, in the documented enumeration order;
-    None when L is k-separating over that field."""
+    None when L is k-separating over that field.
+
+    modp.separation_scan finds the flag; exact elimination then confirms
+    it and builds the final column of the witness."""
     f = L.field
     n = L.cols
     if not isinstance(f, PrimeFieldDomain):
         raise ShapeMismatch("the separation scan needs GF(p)")
-    q = f.size
-    for block in modp.iter_rref_blocks(n, k - 1, q, order="far-first"):
-        for rep in block:
-            Vrows = [[f.from_int(int(v)) for v in row] for row in rep]
-            ck, inside = _flag_violation(L, Vrows)
-            if inside:
-                continue
-            xk = _choose_final_vector(f, n, ck, Vrows)
-            cols = [list(r) for r in Vrows] + [list(xk)]
-            X = Mat(f, n, k,
-                    [cols[j][i] for i in range(n) for j in range(k)])
-            return X
-    return None
+    rep = modp.separation_scan(_subspace_to_int_array(L), k, f.size)
+    if rep is None:
+        return None
+    Vrows = [[f.from_int(int(v)) for v in row] for row in rep]
+    ck, inside = _flag_violation(L, Vrows)
+    _require(not inside, "violating flag")
+    xk = _choose_final_vector(f, n, ck, Vrows)
+    cols = [list(r) for r in Vrows] + [list(xk)]
+    return Mat(f, n, k, [cols[j][i] for i in range(n) for j in range(k)])
 
 
 def _flag_violation(L: MatrixSubspace, Vrows) -> tuple:

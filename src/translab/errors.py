@@ -32,3 +32,7 @@ class BudgetExceeded(TranslabError, RuntimeError):
 
 class ParameterOutOfRange(TranslabError, ValueError):
     """Family parameters violate the constructor's validity range."""
+
+
+class VerificationFailed(TranslabError):
+    """An exact re-verification of a witness or violation did not hold."""

@@ -35,6 +35,7 @@ __all__ = [
     "iter_rref_blocks",
     "min_rank_scan",
     "surjectivity_scan",
+    "separation_scan",
     "rank_extremes_scan",
     "rank_one_pair_scan",
 ]
@@ -108,22 +109,41 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     if mats.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) array")
     B, R, C = mats.shape
-    rank = np.zeros(B, dtype=np.int64)
     if B == 0 or R == 0 or C == 0:
-        return rank
+        return np.zeros(B, dtype=np.int64)
     if mats.min() < 0 or mats.max() >= p:
         mats = mats % p
+    return _eliminate(mats, C, p, inv)[0]
+
+
+def _eliminate(mats: np.ndarray, lead: int, p: int,
+               inv: np.ndarray | None = None) -> tuple:
+    """Eliminate the first `lead` columns of a (B, R, C) batch of residues
+    mod p, as batched_rank_mod_p describes.
+
+    Returns (ranks of those columns, working copy of shape (C, B, R)).  The
+    copy's columns lead.. then hold, mod p, zero on every pivot row and the
+    Schur complement of the leading columns on every other row, so they
+    are zero mod p exactly when they add nothing to the rank.
+    """
+    B, R, C = mats.shape
+    # allocation order matters to the peak RSS under glibc malloc:
+    # allocating the working copy before rank and inv raised the peak of
+    # `translab report paper` from 170 MB to 202 MB
+    rank = np.zeros(B, dtype=np.int64)
     if inv is None:
         inv = inverse_table(p)
-    dt = _rank_dtype(p, C)
+    dt = _rank_dtype(p, lead)
     inv = inv.astype(dt)
     A = np.empty((C, B, R), dtype=dt)
     A[...] = mats.transpose(2, 0, 1)
+    if B == 0 or R == 0:
+        return rank, A
     arange_b = np.arange(B)
     maxrank = min(R, C)
     # scratch for the rank-one update of the trailing columns
-    buf = np.empty((C - 1) * B * R, dtype=dt)
-    for c in range(C):
+    buf = np.empty((C - 1) * B * R if lead else 0, dtype=dt)
+    for c in range(lead):
         col = _reduce(A[c], p)
         nonzero = col != 0
         pr = np.argmax(nonzero, axis=1)
@@ -131,7 +151,8 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
         if not has.any():
             continue
         rank += has
-        if c == C - 1 or (rank >= maxrank).all():
+        # when only ranks are wanted, stop once none can grow
+        if c == C - 1 or (lead == C and (rank >= maxrank).all()):
             break
         scale = inv[col[arange_b, pr]]
         piv = _reduce(A[c + 1:, arange_b, pr], p)
@@ -141,7 +162,7 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
         upd = buf[:tail.size].reshape(tail.shape)
         np.multiply(piv[:, :, None], col, out=upd)
         tail -= upd
-    return rank
+    return rank, A
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -225,6 +246,22 @@ def iter_rref_blocks(n: int, k: int, q: int, chunk: int = DEFAULT_CHUNK,
             yield arr
 
 
+def _merge_blocks(blocks: Iterator[np.ndarray],
+                  chunk: int) -> Iterator[np.ndarray]:
+    """Concatenate consecutive blocks, in order, into blocks of at most
+    chunk rows; blocks of up to chunk rows stay whole."""
+    buf: list = []
+    size = 0
+    for block in blocks:
+        if buf and size + len(block) > chunk:
+            yield np.concatenate(buf)
+            buf, size = [], 0
+        buf.append(block)
+        size += len(block)
+    if buf:
+        yield np.concatenate(buf)
+
+
 # ------------------------------------------------------------------- scans
 
 def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
@@ -301,6 +338,72 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
             i = int(bad[0])
             return False, block[i].T.copy(), points
     return True, None, points
+
+
+def separation_scan(basis: np.ndarray, k: int,
+                    q: int) -> Optional[np.ndarray]:
+    """k-separation scan over GF(q), q prime.
+
+    basis: (D, m, n) array for a subspace L of Mat(m, n).  L is k-separating
+    when, for every (k-1)-dimensional subspace V' of GF(q)^n, the common
+    kernel ck of W = {A in L : A V' = 0} lies inside V'.  The V' are walked
+    in the order of iter_rref_blocks(n, k - 1, q, order="far-first").
+
+    Rank criterion.  Every A in W kills V', so V' lies in ck, and
+    ck = V' (+) (ck meet Y) for any complement Y of V': ck lies inside V'
+    iff dim ck == k - 1.  Index the rows of [A_d X] by the basis element
+    d, where X is the representative of V': a coefficient vector c
+    gives an element A_c of W iff c kills [A_d X] from the left.  ck is the
+    common kernel of the A_c over a basis of that left kernel, so
+    dim ck = n - rank of those A_c stacked, and V' violates iff that rank
+    is below n - (k - 1).
+
+    Each representative is one matrix [A_d X | A_d e_1 | ... | A_d e_n]
+    over the unit vectors e_t; the columns A_d e_t are those of the basis
+    and the same for every V'.  The kernel eliminates the (k-1) m leading
+    columns; the rows without a pivot then hold c^T [A_d e_t] for a basis
+    of that left kernel, which are the entries of the A_c, and the pivot
+    rows hold zero.  A second kernel call ranks them as a (D m) x n
+    matrix.  Nothing depends on the pivot set of V', so blocks of flags run
+    across pivot sets, and each costs one product and two kernel calls.
+
+    Returns the (k-1, n) representative of the first violating V' in
+    enumeration order, or None when L is k-separating over GF(q).
+    """
+    D, m, n = basis.shape
+    j = k - 1
+    lead = j * m
+    inv = inverse_table(q)
+    # flat2[t, d*m + i] = basis[d, i, t]
+    flat2 = np.ascontiguousarray(
+        basis.transpose(2, 0, 1).reshape(n, D * m) % q).astype(np.int32)
+    # unit[t*m + i, 0, d] = (A_d e_t)_i
+    unit = flat2.reshape(n, D, m).transpose(0, 2, 1).reshape(n * m, 1, D)
+    # about DEFAULT_CHUNK * 128 cells of [A_d X | A_d e_t] per elimination
+    width = (lead + n * m) * max(D, 1)
+    chunk = max(1, DEFAULT_CHUNK * 128 // width)
+    for block in _merge_blocks(
+            iter_rref_blocks(n, j, q, chunk, order="far-first"), chunk):
+        B = block.shape[0]
+        # M[c, r, d]: column c, row d of the matrix of representative r
+        M = np.empty((lead + n * m, B, D), dtype=np.int32)
+        if lead:
+            prod = _mod_matmul(block.reshape(B * j, n), flat2, q)
+            M[:lead] = (prod.reshape(B, j, D, m).transpose(1, 3, 0, 2)
+                        .reshape(lead, B, D))
+        M[lead:] = unit
+        rest = _reduce(_eliminate(M.transpose(1, 2, 0), lead, q, inv)[1]
+                       [lead:], q)
+        # stacked[r, i*D + d, t] = (A_c e_t)_i, c the left-kernel vector
+        # row d of representative r now holds; n columns keep the kernel's
+        # column loop short
+        stacked = rest.reshape(n, m, B, D).transpose(2, 1, 3, 0).reshape(
+            B, m * D, n)
+        ranks = batched_rank_mod_p(stacked, q, inv)
+        bad = np.nonzero(ranks < n - j)[0]
+        if bad.size:
+            return block[int(bad[0])].copy()
+    return None
 
 
 def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK):

@@ -147,6 +147,7 @@ def separation_verdict_to_obj(v) -> dict:
         "status": v.status.value,
         "k": v.k,
         "primes": list(v.primes),
+        "soundness": v.soundness,
         "witness_columns": None,
         "evidence": _evidence_to_obj(v.evidence),
     }

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import NotIdempotent, ShapeMismatch, SingularTransform
 from .fields import Field
-from .matrices import Mat, reduce_mod as _reduce_mat
+from .matrices import Mat, _coerce, reduce_mod as _reduce_mat
 
 __all__ = ["MatrixSubspace", "vec", "unvec"]
 
@@ -119,11 +119,14 @@ class MatrixSubspace:
         """The combination sum(c_i * basis_i)."""
         if len(coeffs) != self.dim:
             raise ShapeMismatch(f"expected {self.dim} coefficients")
-        out = Mat.zeros(self.field, self.rows, self.cols)
+        acc = [self.field.zero()] * (self.rows * self.cols)
         for c, B in zip(coeffs, self.basis):
             if c:
-                out = out + B.scale(c)
-        return out
+                c = _coerce(self.field, c)
+                for i, x in enumerate(B.entries()):
+                    if x:
+                        acc[i] = acc[i] + c * x
+        return Mat(self.field, self.rows, self.cols, acc)
 
     def coordinates_of(self, A: Mat) -> Optional[tuple]:
         """Coefficients of A over the canonical basis, or None if outside."""

@@ -1,10 +1,16 @@
 """The decision engine: verdicts, witnesses, and soundness labels."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import translab
 
 from translab.deciders import (
     DEFAULT_PRIMES,
@@ -24,7 +30,10 @@ from translab.deciders import (
     transitivity_disproof_from_witness,
     verify_rank_spanning,
 )
+from translab.deciders import (_choose_final_vector, _flag_violation,
+                               _separation_scan_ff)
 from translab.errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
+from translab import modp
 from translab.families import (
     dual_transitive_8dim,
     minimal_k_transitive,
@@ -342,6 +351,104 @@ def test_separation_finite_field_ambient():
     T3 = toeplitz_space(3).reduce_mod(5)
     assert check_k_separating(T3, 2).status == Status.CERTIFIED_FINITE_FIELD
     assert check_k_separating(T3, 3).status == Status.DISPROVED
+
+
+def _separation_scan_reference(L, k):
+    """The per-flag scan: exact elimination on every flag in turn."""
+    f, n = L.field, L.cols
+    for block in modp.iter_rref_blocks(n, k - 1, f.size, order="far-first"):
+        for rep in block:
+            Vrows = [[f.from_int(int(v)) for v in row] for row in rep]
+            ck, inside = _flag_violation(L, Vrows)
+            if inside:
+                continue
+            xk = _choose_final_vector(f, n, ck, Vrows)
+            cols = [list(r) for r in Vrows] + [list(xk)]
+            return Mat(f, n, k, [cols[j][i] for i in range(n)
+                                 for j in range(k)])
+    return None
+
+
+@st.composite
+def _small_prime_space(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 if p == 5 else 4))
+    f = GF(p)
+    d = draw(st.integers(0, m * n))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=d * m * n,
+                            max_size=d * m * n))
+    gens = [Mat(f, m, n, [f.from_int(x) for x in entries[i * m * n:
+                                                         (i + 1) * m * n]])
+            for i in range(d)]
+    return MatrixSubspace.from_generators(gens, rows=m, cols=n, field=f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_prime_space())
+def test_separation_scan_matches_per_flag_reference(L):
+    # the batched rank scan must return exactly the witness (or None) of
+    # exact elimination flag by flag, at every k
+    for k in range(1, L.cols + 1):
+        assert _separation_scan_ff(L, k) == _separation_scan_reference(L, k)
+
+
+@pytest.mark.parametrize("p,m,n,dim,k", [(7, 8, 8, 30, 1), (5, 3, 7, 6, 1),
+                                         (2, 3, 6, 4, 2), (3, 2, 5, 3, 2)])
+def test_separation_scan_matches_per_flag_reference_at_larger_n(p, m, n,
+                                                                dim, k):
+    # ambients beyond the property test: a random space (whose common
+    # kernel is almost surely trivial) and one whose elements all kill e_n
+    f = GF(p)
+    rng = random.Random(p * 1000 + n)
+    for last_col_zero in (False, True):
+        gens = [Mat(f, m, n, [f.from_int(0 if last_col_zero and c == n - 1
+                                         else rng.randrange(p))
+                              for r in range(m) for c in range(n)])
+                for _ in range(dim)]
+        L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=f)
+        ref = _separation_scan_reference(L, k)
+        if last_col_zero:
+            assert ref is not None
+        assert _separation_scan_ff(L, k) == ref
+
+
+def test_separation_budget_checked_per_prime():
+    # denominators 35 make 5 and 7 bad primes; the up-front check passes
+    # (2850 flags over GF(7)) but the fallback prime 11 needs 16226
+    f = QQ
+    L = MatrixSubspace.from_generators([
+        Mat.from_rows(f, [[1, Fraction(1, 35), 0, 0], [0, 0, 1, 0]]),
+        Mat.from_rows(f, [[0, 1, 0, 0], [0, 0, 0, Fraction(2, 35)]]),
+    ])
+    assert modp.gaussian_binomial(4, 2, 7) == 2850
+    assert modp.gaussian_binomial(4, 2, 11) == 16226
+    with pytest.raises(BudgetExceeded, match="GF\\(11\\)"):
+        check_k_separating(L, 3, budget=2850)
+
+
+def test_witness_checks_raise_under_optimize():
+    # soundness must not depend on assert: with verification broken, -O
+    # still refuses to report a disproof
+    code = (
+        "import translab.deciders as d\n"
+        "from translab.errors import VerificationFailed\n"
+        "from translab.families import toeplitz_space\n"
+        "assert False, 'asserts are live'\n"
+        "d.RankWitness.verify = lambda self, space: False\n"
+        "try:\n"
+        "    v = d.check_k_transitive(toeplitz_space(3), 2)\n"
+        "except VerificationFailed:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print(v.status.value)\n"
+    )
+    src = os.path.dirname(os.path.dirname(translab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 # ----------------------------------------------------------- rank spanning

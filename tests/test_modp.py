@@ -14,6 +14,7 @@ from translab.modp import (
     iter_rref_blocks,
     min_rank_scan,
     projective_count,
+    separation_scan,
     surjectivity_scan,
 )
 from translab.subspace import MatrixSubspace
@@ -155,3 +156,23 @@ def test_surjectivity_scan_on_known_spaces():
     basis2 = np.array([[[1, 0], [0, 0]]])
     ok2, fail2, _ = surjectivity_scan(basis2, 1, 5)
     assert not ok2 and fail2 is not None
+
+
+def test_separation_scan_does_not_depend_on_chunking(monkeypatch):
+    # small chunks split pivot sets over several blocks and merge the
+    # blocks of consecutive pivot sets; the first violation must not move
+    from translab import modp
+
+    rng = np.random.default_rng(5)
+    for q, m, n, D, k in [(3, 2, 5, 3, 2), (2, 3, 5, 8, 3), (3, 3, 4, 8, 3),
+                          (3, 2, 4, 5, 2), (7, 2, 3, 3, 2), (3, 2, 4, 0, 2)]:
+        for _ in range(4):
+            basis = rng.integers(0, q, size=(D, m, n))
+            ref = separation_scan(basis, k, q)
+            for chunk in (1, 7, 40):
+                monkeypatch.setattr(modp, "DEFAULT_CHUNK", chunk)
+                got = separation_scan(basis, k, q)
+                monkeypatch.undo()
+                assert (got is None) == (ref is None), (q, m, n, D, k)
+                if ref is not None:
+                    assert np.array_equal(got, ref)

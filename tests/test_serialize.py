@@ -81,3 +81,9 @@ def test_verdict_serialization_includes_soundness():
     sobj = separation_verdict_to_obj(s)
     assert sobj["status"] == "disproved"
     assert sobj["witness_columns"]["rows"] == 3
+    assert sobj["soundness"] == s.soundness
+    assert s.soundness == "exact witness over Q; valid over every extension"
+    c = check_k_separating(toeplitz_space(3), 2, primes=(5,))
+    assert separation_verdict_to_obj(c)["soundness"] == (
+        "exhaustively certified over GF(5) only; "
+        "does not transfer to characteristic zero")
