@@ -392,17 +392,14 @@ def rank_extremes_ff(L: MatrixSubspace,
                 if sc is not None else None)
         return RankExtremes(int(r), rmat, None if s is None else int(s),
                             smat, pts)
-    r = s = None
-    rmat = smat = None
-    pts = 0
-    for coeffs in _projective_tuples_generic(f, L.dim):
-        pts += 1
-        T = L.element(coeffs)
-        rk = T.rank()
-        if r is None or rk < r:
-            r, rmat = rk, T
-        if rk < n and (s is None or rk > s):
-            s, smat = rk, T
+    # the finite fields are GF(p) and GF(p^2)
+    basis = np.array([[(x.a, x.b) for x in B.entries()] for B in L.basis],
+                     dtype=np.int64).reshape(L.dim, n, n, 2)
+    r, rc, s, sc, pts = modp.quad_ext_rank_extremes_scan(
+        basis.transpose(0, 3, 1, 2), f.p, f.omega)
+    elems = f.elements()
+    rmat = L.element([elems[int(c)] for c in rc])
+    smat = L.element([elems[int(c)] for c in sc]) if sc is not None else None
     return RankExtremes(r, rmat, s, smat, pts)
 
 
@@ -706,12 +703,12 @@ def _witness_from_failing_input(L, Lp, X: Mat, k: int):
         entries.extend(BX[b, a] for a in range(k) for b in range(m))
     sysmat = Mat(f, D, k * m, entries)
     kv = sysmat.kernel()
-    assert kv, "failing input produced a consistent system"
+    _require(bool(kv), "failing input (pairing system)")
     W = Mat(f, k, m, kv[0])
     T = X @ W
-    assert not T.is_zero()
+    _require(not T.is_zero(), "failing input (nonzero obstruction)")
     coeffs = Lp.coordinates_of(T)
-    assert coeffs is not None
+    _require(coeffs is not None, "failing input (pre-annihilator membership)")
     return coeffs, T
 
 
@@ -794,11 +791,11 @@ def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
     if T.rank() > k:
         raise ValueError(f"witness rank {T.rank()} exceeds {k}")
     for B in L.basis:
-        if (B @ T).trace():
+        if B.trace_pairing(T):
             raise ValueError("witness does not annihilate the subspace")
     Lp = L.preannihilator()
     coeffs = Lp.coordinates_of(T)
-    assert coeffs is not None
+    _require(coeffs is not None, "pre-annihilator membership")
     w = RankWitness(coeffs, T, k)
     _require(w.verify(Lp), "rank witness")
     ev = {"strategy": "supplied-witness", "witness_field": T.field.tag,

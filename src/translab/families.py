@@ -253,9 +253,6 @@ class LinearMapTable:
             out.append(s)
         return Mat(A.field, self.size, self.size, out)
 
-    def transpose_table(self) -> "LinearMapTable":
-        return LinearMapTable(self.size, self.matrix.transpose())
-
 
 _DUAL_TRANSITIVE_PATTERNS = {
     # letter -> list of (block row, block col, integer coefficient)
@@ -725,7 +722,7 @@ def counterexample_certificate() -> CounterexampleCertificate:
         L, T_perp, _BLOCK_PAIRS)
     # dual route: T annihilates every Kronecker generator of Lp (x) Lp
     pair_ok = all(
-        not (Bi.kron(Bj) @ T_perp).trace()
+        not Bi.kron(Bj).trace_pairing(T_perp)
         for Bi in Lp.basis for Bj in Lp.basis
     )
     tensor_dual = Lp.tensor(Lp)
@@ -766,7 +763,7 @@ def _find_main_tensor_witness(L: MatrixSubspace) -> Mat:
         u, v = _rank_one_from_sign_pattern(f, us, vs)
         T = u @ v.transpose()
         good = all(
-            not (Bi.kron(Bj) @ T).trace()
+            not Bi.kron(Bj).trace_pairing(T)
             for Bi in L.basis for Bj in L.basis
         )
         if good:

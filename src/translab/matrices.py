@@ -195,6 +195,23 @@ class Mat:
             s = s + self[i, i]
         return s
 
+    def trace_pairing(self, other: "Mat") -> Scalar:
+        """Tr(self @ other) = sum_ij self[i, j] other[j, i], without forming
+        the product; zero entries of self are skipped."""
+        if not isinstance(other, Mat):
+            raise TypeError("expected a Mat")
+        if self.field != other.field:
+            raise ShapeMismatch(f"field mismatch: {self.field.tag} vs {other.field.tag}")
+        if self.shape != (other.cols, other.rows):
+            raise ShapeMismatch(f"trace pairing needs transposed shapes: {self.shape} vs {other.shape}")
+        s = self.field.zero()
+        oe = other._e
+        for idx, a in enumerate(self._e):
+            if a:
+                i, j = divmod(idx, self.cols)
+                s = s + a * oe[j * other.cols + i]
+        return s
+
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; block (i, j) of the result is self[i, j] * other."""
         if self.field != other.field:

@@ -17,6 +17,15 @@ at most C updates, each a product of two residues.  Entries of a (B, R, C)
 batch therefore stay within (p-1) + C (p-1)^2 in absolute value, and the
 kernel works in the narrowest signed integer dtype holding that bound:
 int16 for the shipped primes at the scan shapes, int32 or int64 beyond.
+
+The definitional scan ranks compressed matrices first.  Each of its
+matrices M has D rows and t = m k columns, so rank M <= t even when D is
+much larger.  For a fixed (t + s) x D matrix S over GF(q),
+rank(S M) <= rank M, so every M whose compressed copy S M has rank t has
+rank t; only the others are ranked again on their D rows.  The
+oversampling s = s(q) is the least s >= 1 with q^(s+1) >= 2^10, which
+leaves about q^-(s+1) of the full-rank points to re-rank.  S only decides
+how much work is repeated, never the answer.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "surjectivity_scan",
     "separation_scan",
     "rank_extremes_scan",
+    "quad_ext_rank_extremes_scan",
     "rank_one_pair_scan",
 ]
 
@@ -57,6 +67,14 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     times faster than np.remainder on small integer types."""
     x -= (x // p) * p
     return x
+
+
+def _basis_columns(basis: np.ndarray, q: int) -> np.ndarray:
+    """flat2[t, d*m + i] = basis[d, i, t] mod q, as int32: multiplying a
+    (rows, n) block of inputs by it applies every basis matrix at once."""
+    D, m, n = basis.shape
+    return np.ascontiguousarray(
+        basis.transpose(2, 0, 1).reshape(n, D * m) % q).astype(np.int32)
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -305,6 +323,34 @@ def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
     return best_rank, best_coeffs, points
 
 
+def _oversampling(q: int) -> int:
+    """s(q), the least s >= 1 with q^(s+1) >= 2^10: a (t + s) x t matrix
+    over GF(q) drawn at random has rank below t with probability about
+    q^-(s+1)."""
+    s = 1
+    while q ** (s + 1) < 1 << 10:
+        s += 1
+    return s
+
+
+def _sketch(rows: int, D: int, q: int) -> np.ndarray:
+    """The compression matrix S of surjectivity_scan: rows x D residues
+    mod q from a constant-seeded generator, so every run repeats the same
+    work."""
+    return np.random.default_rng(0).integers(0, q, size=(rows, D))
+
+
+def _input_products(block: np.ndarray, flat2: np.ndarray, m: int,
+                    q: int) -> np.ndarray:
+    """(B, R, m*k) batch over (B, k, n) representatives X: row d of matrix
+    b is A_d X_b, read row-major, for the R basis matrices in flat2."""
+    B, k, n = block.shape
+    R = flat2.shape[1] // m
+    # out[b, j, d*m + i] = sum_t block[b, j, t] basis[d, i, t]
+    out = _mod_matmul(block.reshape(B * k, n), flat2, q)
+    return out.reshape(B, k, R, m).transpose(0, 2, 3, 1).reshape(B, R, m * k)
+
+
 def surjectivity_scan(basis: np.ndarray, k: int, q: int,
                       chunk: int = DEFAULT_CHUNK):
     """Definitional k-transitivity scan over GF(q), q prime.
@@ -312,7 +358,15 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     basis: (D, m, n) array for a subspace L of Mat(m, n).  Enumerates the
     canonical representatives X of all k-dimensional input subspaces and
     checks that A -> A @ X maps L onto Mat(m, k), i.e. the stacked
-    (D, m*k) coefficient matrix has full rank m*k.
+    (D, m*k) coefficient matrix M has full rank t = m*k.
+
+    When D > t + s(q) (see _oversampling), each block is first ranked on
+    the t + s(q) rows of S M, for the fixed S of _sketch, by applying the
+    compressed basis S A once formed.  rank(S M) <= rank M <= t, so a point
+    whose compressed rank is t passes; the block's other points are the
+    candidates, ranked again in one call on their full D-row products, and
+    the first candidate whose full rank is below t is the block's first
+    failure.  The result is therefore the same for every S.
 
     Returns (ok, first_failure, points): first_failure is the (n, k) input
     matrix (columns are the representative rows) of the first failing
@@ -322,18 +376,23 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     inv = inverse_table(q)
     points = 0
     target = m * k
-    # flat2[t, d*m + i] = basis[d, i, t]
-    flat2 = np.ascontiguousarray(
-        basis.transpose(2, 0, 1).reshape(n, D * m) % q).astype(np.int32)
+    full = _basis_columns(basis, q)
+    rows = target + _oversampling(q)
+    sketched = D > rows
+    probe = full
+    if sketched:
+        flat = (basis.reshape(D, m * n) % q).astype(np.int32)
+        probe = _basis_columns(
+            _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
     for block in iter_rref_blocks(n, k, q, chunk):
-        B = block.shape[0]
-        # out[b, j, d*m + i] = sum_t block[b, j, t] basis[d, i, t]
-        out = _mod_matmul(block.reshape(B * k, n), flat2, q)
-        M = (out.reshape(B, k, D, m).transpose(0, 2, 3, 1)
-             .reshape(B, D, m * k))
-        ranks = batched_rank_mod_p(M, q, inv)
-        points += B
+        ranks = batched_rank_mod_p(_input_products(block, probe, m, q), q,
+                                   inv)
+        points += block.shape[0]
         bad = np.nonzero(ranks < target)[0]
+        if sketched and bad.size:
+            full_ranks = batched_rank_mod_p(
+                _input_products(block[bad], full, m, q), q, inv)
+            bad = bad[full_ranks < target]
         if bad.size:
             i = int(bad[0])
             return False, block[i].T.copy(), points
@@ -374,9 +433,7 @@ def separation_scan(basis: np.ndarray, k: int,
     j = k - 1
     lead = j * m
     inv = inverse_table(q)
-    # flat2[t, d*m + i] = basis[d, i, t]
-    flat2 = np.ascontiguousarray(
-        basis.transpose(2, 0, 1).reshape(n, D * m) % q).astype(np.int32)
+    flat2 = _basis_columns(basis, q)
     # unit[t*m + i, 0, d] = (A_d e_t)_i
     unit = flat2.reshape(n, D, m).transpose(0, 2, 1).reshape(n * m, 1, D)
     # about DEFAULT_CHUNK * 128 cells of [A_d X | A_d e_t] per elimination
@@ -418,14 +475,67 @@ def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK):
         raise ValueError("rank extremes need a square ambient")
     flat = (basis.reshape(D, m * n) % q).astype(np.int32)
     inv = inverse_table(q)
+
+    def ranked():
+        for block in iter_projective_blocks(D, q, chunk):
+            mats = _mod_matmul(block, flat, q)
+            yield block, batched_rank_mod_p(mats.reshape(-1, m, n), q, inv)
+
+    return _first_extremes(ranked(), n)
+
+
+def quad_ext_rank_extremes_scan(basis: np.ndarray, p: int, omega: int,
+                                chunk: int = DEFAULT_CHUNK):
+    """rank_extremes_scan over GF(p^2) = GF(p)[w], w^2 = omega.
+
+    basis: (D, 2, n, n) with basis[d, 0] + w basis[d, 1] the d-th matrix.
+    An element a + b w of GF(p^2) is coded a*p + b, its index in
+    QuadExtDomain.elements(); coefficient vectors are enumerated in the
+    projective order of iter_projective_blocks over these codes, with the
+    leading coordinate one (code p).  A matrix X + w Y acts on GF(p)^(2n)
+    as [[X, omega Y], [Y, X]], whose rank over GF(p) is twice the rank of
+    X + w Y over GF(p^2), so the ranks come from batched_rank_mod_p.
+    A block holds about chunk matrix entries rather than chunk points: the
+    real forms have 4 n^2 entries each, and smaller blocks keep the scan's
+    peak memory low.
+    Returns (r, r_codes, s, s_codes, points) as rank_extremes_scan does.
+    """
+    D, two, m, n = basis.shape
+    if two != 2 or m != n:
+        raise ValueError("expected a (D, 2, n, n) basis")
+    X, Y = basis[:, 0] % p, basis[:, 1] % p
+    # rows d and D + d: the real-form blocks of B_d and of w B_d
+    # = omega Y_d + w X_d
+    gen = np.empty((2 * D, 2 * n, 2 * n), dtype=np.int64)
+    for row, (re, im) in enumerate([(X, Y), (omega * Y % p, X)]):
+        blk = gen[row * D:(row + 1) * D]
+        blk[:, :n, :n] = re
+        blk[:, :n, n:] = omega * im % p
+        blk[:, n:, :n] = im
+        blk[:, n:, n:] = re
+    flat = gen.reshape(2 * D, 4 * n * n).astype(np.int32)
+    inv = inverse_table(p)
+
+    def ranked():
+        for codes in iter_projective_blocks(D, p * p,
+                                            max(1, chunk // (4 * n * n))):
+            codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
+            ab = np.concatenate([codes // p, codes % p], axis=1)
+            mats = _mod_matmul(ab, flat, p).reshape(-1, 2 * n, 2 * n)
+            yield codes, batched_rank_mod_p(mats, p, inv) // 2
+
+    return _first_extremes(ranked(), n)
+
+
+def _first_extremes(ranked, n: int):
+    """Fold (coefficient block, ranks) pairs of n x n matrices into
+    (r, r_coeffs, s, s_coeffs, points), witnesses first in block order."""
     r = None
     r_coeffs = None
     s = None
     s_coeffs = None
     points = 0
-    for block in iter_projective_blocks(D, q, chunk):
-        mats = _mod_matmul(block, flat, q)
-        ranks = batched_rank_mod_p(mats.reshape(-1, m, n), q, inv)
+    for block, ranks in ranked:
         points += len(block)
         local_min = int(ranks.min())
         if r is None or local_min < r:

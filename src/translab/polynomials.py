@@ -476,10 +476,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not self.poly
 
-    def is_constant_multiple(self) -> bool:
-        """True when the form has no projective roots (degree-0 content)."""
-        return len(self.poly) == 1 and self.inf_mult == 0
-
     @staticmethod
     def gcd(forms: list["BinaryForm"]) -> Optional["BinaryForm"]:
         """Monic gcd of the nonzero forms; None when every form is zero."""

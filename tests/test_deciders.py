@@ -31,6 +31,7 @@ from translab.deciders import (
     verify_rank_spanning,
 )
 from translab.deciders import (_choose_final_vector, _flag_violation,
+                               _projective_tuples_generic,
                                _separation_scan_ff)
 from translab.errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
 from translab import modp
@@ -370,12 +371,19 @@ def _separation_scan_reference(L, k):
 
 
 @st.composite
-def _small_prime_space(draw):
+def _small_prime_space(draw, cross_route=False):
     p = draw(st.sampled_from([2, 3, 5]))
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 3 if p == 5 else 4))
+    n = draw(st.integers(1, 4 if cross_route or p != 5 else 3))
     f = GF(p)
-    d = draw(st.integers(0, m * n))
+    lo = 0
+    if cross_route:
+        # the pre-annihilator route visits p^(mn - d) points; half the
+        # draws are dense enough that the definitional scan compresses
+        lo = max(0, m * n - {2: 12, 3: 8, 5: 6}[p])
+        if draw(st.booleans()):
+            lo = max(lo, min(m * n, m + modp._oversampling(p) + 1))
+    d = draw(st.integers(lo, m * n))
     entries = draw(st.lists(st.integers(0, p - 1), min_size=d * m * n,
                             max_size=d * m * n))
     gens = [Mat(f, m, n, [f.from_int(x) for x in entries[i * m * n:
@@ -391,6 +399,18 @@ def test_separation_scan_matches_per_flag_reference(L):
     # exact elimination flag by flag, at every k
     for k in range(1, L.cols + 1):
         assert _separation_scan_ff(L, k) == _separation_scan_reference(L, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_prime_space(cross_route=True))
+def test_input_subspace_route_matches_preannihilator_route(L):
+    # L is k-transitive iff its pre-annihilator has no nonzero element of
+    # rank <= k; the definitional scan over input subspaces must agree
+    Lp = L.preannihilator()
+    low = min_rank_ff_exhaustive(Lp)[0] if Lp.dim else None
+    for k in range(1, L.cols + 1):
+        ok, _X, _pts = definitional_k_transitive_ff(L, k)
+        assert ok == (low is None or low > k), k
 
 
 @pytest.mark.parametrize("p,m,n,dim,k", [(7, 8, 8, 30, 1), (5, 3, 7, 6, 1),
@@ -451,6 +471,32 @@ def test_witness_checks_raise_under_optimize():
     assert out.stdout.strip() == "raised"
 
 
+def test_failing_input_checks_raise_under_optimize():
+    # a scan that reports a passing input as failing must be caught by
+    # exact elimination under -O too, not crash on an empty kernel
+    code = (
+        "import numpy as np\n"
+        "import translab.deciders as d\n"
+        "from translab.errors import VerificationFailed\n"
+        "from translab.families import toeplitz_space\n"
+        "assert False, 'asserts are live'\n"
+        "d.modp.surjectivity_scan = lambda basis, k, q, chunk=0: (\n"
+        "    False, np.array([[1], [0], [0]]), 1)\n"
+        "try:\n"
+        "    v = d.check_k_transitive(toeplitz_space(3).reduce_mod(5), 1)\n"
+        "except VerificationFailed:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print(v.status.value)\n"
+    )
+    src = os.path.dirname(os.path.dirname(translab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
 # ----------------------------------------------------------- rank spanning
 
 def test_verify_rank_spanning_examples():
@@ -484,6 +530,42 @@ def test_rank_extremes_examples():
     assert ex3.min_nonzero_rank == 2
     assert ex3.max_singular_rank == 3  # frozen from the exhaustive run
     assert ex3.min_nonzero_rank + ex3.max_singular_rank >= 4
+
+
+def _rank_extremes_reference(L):
+    # one element at a time, in projective order, with exact Mat ranks
+    n = L.rows
+    r = s = rmat = smat = None
+    pts = 0
+    for coeffs in _projective_tuples_generic(L.field, L.dim):
+        pts += 1
+        T = L.element(coeffs)
+        rk = T.rank()
+        if r is None or rk < r:
+            r, rmat = rk, T
+        if rk < n and (s is None or rk > s):
+            s, smat = rk, T
+    return r, rmat, s, smat, pts
+
+
+def test_rank_extremes_over_quadratic_extension_match_reference():
+    rng = random.Random(11)
+    spaces = [toeplitz_space(3).reduce_mod(9)]
+    while len(spaces) < 30:
+        F = GF(rng.choice([9, 25, 49]))
+        n = rng.randint(1, 3)
+        elems = F.elements()
+        gens = [Mat(F, n, n, [rng.choice(elems) if rng.random() < 0.7
+                              else F.zero() for _ in range(n * n)])
+                for _ in range(rng.randint(1, 3))]
+        L = MatrixSubspace.from_generators(gens, rows=n, cols=n, field=F)
+        if L.dim:
+            spaces.append(L)
+    for L in spaces:
+        ex = rank_extremes_ff(L)
+        got = (ex.min_nonzero_rank, ex.min_witness, ex.max_singular_rank,
+               ex.max_witness, ex.points)
+        assert got == _rank_extremes_reference(L), (L.field.tag, L.dim)
 
 
 # ----------------------------------------------------- supplied witnesses

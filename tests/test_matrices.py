@@ -176,6 +176,19 @@ def test_trace_and_adjoint():
     assert A.conj_transpose()[0, 0] == z.conjugate()
 
 
+def test_trace_pairing_matches_trace_of_product():
+    rng = random.Random(3)
+    for field in (QQ, QI, GF(5)):
+        for m, n in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+            A = rand_mat(rng, field, m, n, lo=-2, hi=2)
+            T = rand_mat(rng, field, n, m, lo=-2, hi=2)
+            assert A.trace_pairing(T) == (A @ T).trace()
+    with pytest.raises(ShapeMismatch):
+        Mat.zeros(QQ, 2, 3).trace_pairing(Mat.zeros(QQ, 2, 3))
+    with pytest.raises(ShapeMismatch):
+        Mat.zeros(QQ, 2, 2).trace_pairing(Mat.zeros(GF(5), 2, 2))
+
+
 # ------------------------------------------------------------- reduction
 
 def test_reduce_mod_examples():

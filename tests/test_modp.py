@@ -176,3 +176,74 @@ def test_separation_scan_does_not_depend_on_chunking(monkeypatch):
                 assert (got is None) == (ref is None), (q, m, n, D, k)
                 if ref is not None:
                     assert np.array_equal(got, ref)
+
+
+def _surjectivity_reference(basis, k, p, chunk):
+    # the uncompressed scan, block by block: rank every (D, m*k) matrix
+    # whose row d is A_d X read row-major
+    D, m, n = basis.shape
+    points = 0
+    for block in iter_rref_blocks(n, k, p, chunk):
+        M = np.einsum("dit,bjt->bdij", basis, block) % p
+        ranks = batched_rank_mod_p(M.reshape(len(block), D, m * k), p)
+        points += len(block)
+        bad = np.nonzero(ranks < m * k)[0]
+        if bad.size:
+            return False, block[int(bad[0])].T, points
+    return True, None, points
+
+
+def _planted_failure_basis(rng, p, m, n, k, D):
+    """A random D-dimensional subspace of {A : h^T A x0 = 0}: every input
+    subspace containing x0 fails.  x0 has zeros in its first k
+    coordinates, so the first pivot set, and the first point, pass."""
+    h = rng.integers(1, p, size=m)
+    x0 = rng.integers(0, p, size=n)
+    x0[:k] = 0
+    x0[-1] = 1
+    while True:
+        A = rng.integers(0, p, size=(D, m, n))
+        resid = np.einsum("i,dit,t->d", h, A, x0) % p
+        A[:, 0, n - 1] = (A[:, 0, n - 1] - resid * pow(int(h[0]), p - 2, p)) % p
+        assert not (np.einsum("i,dit,t->d", h, A, x0) % p).any()
+        if batched_rank_mod_p(A.reshape(1, D, m * n), p)[0] == D:
+            return A
+
+
+# (p, m, n, k, D) with D > m*k + s(p): s(2) = 9, s(3) = 6, s(5) = 4, s(7) = 3
+_COMPRESSED_SHAPES = [(2, 3, 5, 1, 13), (2, 3, 6, 2, 17), (3, 3, 4, 1, 11),
+                      (3, 3, 5, 2, 13), (5, 2, 4, 1, 7), (5, 3, 4, 2, 11),
+                      (7, 2, 4, 1, 7), (7, 3, 4, 2, 10)]
+
+
+def test_surjectivity_scan_compression_is_exact(monkeypatch):
+    # a compressed rank below m*k proves nothing; with a rank-deficient
+    # compression every point is a candidate and the scan must still
+    # return exactly what the uncompressed scan returns
+    from translab import modp
+
+    rng = np.random.default_rng(11)
+    deficient = (np.zeros, np.ones)
+    for p, m, n, k, D in _COMPRESSED_SHAPES:
+        rows = m * k + modp._oversampling(p)
+        assert D > rows
+        planted = _planted_failure_basis(rng, p, m, n, k, D)
+        free = rng.integers(0, p, size=(D, m, n))
+        for basis in (planted, free):
+            for chunk in (7, modp.DEFAULT_CHUNK):
+                ref = _surjectivity_reference(basis, k, p, chunk)
+                if basis is planted:
+                    assert not ref[0]
+                for fill in (None,) + deficient:
+                    calls = []
+                    if fill is not None:
+                        def sketch(r, d, q, fill=fill):
+                            calls.append((r, d, q))
+                            return fill((r, d), dtype=int)
+                        monkeypatch.setattr(modp, "_sketch", sketch)
+                    got = surjectivity_scan(basis, k, p, chunk)
+                    monkeypatch.undo()
+                    assert fill is None or calls == [(rows, D, p)]
+                    assert got[0] == ref[0] and got[2] == ref[2], (p, m, n, k)
+                    if not ref[0]:
+                        assert np.array_equal(got[1], ref[1]), (p, m, n, k)
