@@ -8,6 +8,16 @@ procedure (dim <= 2) and verified witnesses, while finite-field
 certification is reported as such and never silently promoted to a
 characteristic-zero claim.
 
+Over GF(p) three exhaustive routes answer the same question.  L is
+k-transitive exactly when L^T is, since (L^T)^perp = (L^perp)^T and
+transposing keeps every rank.  So besides the pre-annihilator route
+(projective_count(dim L^perp, p) elements) and the input-subspace route
+(the Gr(k, n) input subspaces of L), the output-subspace route scans the
+Gr(k, m) input subspaces of L^T.  The smallest count runs, ties going to
+the first two.  Witnesses come only from the first two: when the
+output-subspace route finds a failure, the cheaper of them runs as well
+and must fail too, so no verdict or witness depends on the choice.
+
 Verdict statuses:
 
 * ``disproved``                a verified witness exists; valid over every
@@ -41,7 +51,7 @@ from .fields import (
 from .lowrank import search_low_rank_element
 from .matrices import Mat
 from . import modp
-from .polynomials import BinaryForm
+from .polynomials import BinaryForm, poly_add, poly_mul, poly_neg
 from .subspace import MatrixSubspace
 
 __all__ = [
@@ -453,11 +463,8 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
     if f == QQ:
         # try Gaussian roots of the Q pencil; a Q(i) witness still disproves
         # transitivity over every extension of Q(i), in particular over C
-        gauss_poly = tuple(GaussianRational(c, 0) for c in gcd.poly)
-        gform = BinaryForm.__new__(BinaryForm)
-        gform.poly = gauss_poly
-        gform.inf_mult = gcd.inf_mult
-        gform.degree = gcd.degree
+        gform = BinaryForm.from_poly(
+            tuple(GaussianRational(c, 0) for c in gcd.poly), gcd.inf_mult)
         Vq = _lift_to_qi(V)
         for (c0, c1) in gform.roots_in_field(QI):
             T = Vq.basis[0].scale(c0) + Vq.basis[1].scale(c1)
@@ -472,21 +479,18 @@ def _minor_forms(B0: Mat, B1: Mat, size: int) -> list:
     """All size x size minors of c0 B0 + c1 B1 as binary forms (dehomogenized
     at c1 = 1, entries are degree <= 1 polynomials in t = c0)."""
     m, n = B0.shape
-    zero = B0.field.zero()
     forms = []
     for rows in itertools.combinations(range(m), size):
         for cols in itertools.combinations(range(n), size):
-            det = None
+            det = ()
             for perm in itertools.permutations(range(size)):
-                sign = _perm_sign(perm)
-                term = ((B1[rows[0], cols[perm[0]]],
-                         B0[rows[0], cols[perm[0]]]))
-                acc = term
+                acc = (B1[rows[0], cols[perm[0]]], B0[rows[0], cols[perm[0]]])
                 for i in range(1, size):
                     e = (B1[rows[i], cols[perm[i]]], B0[rows[i], cols[perm[i]]])
-                    acc = _poly_mul_small(acc, e, zero)
-                acc = acc if sign > 0 else tuple(-c for c in acc)
-                det = acc if det is None else _poly_add_small(det, acc, zero)
+                    acc = poly_mul(acc, e)
+                if _perm_sign(perm) < 0:
+                    acc = poly_neg(acc)
+                det = poly_add(det, acc)
             forms.append(BinaryForm(det, size))
     return forms
 
@@ -506,25 +510,6 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _poly_mul_small(p, q, zero):
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return tuple(out)
-
-
-def _poly_add_small(p, q, zero):
-    n = max(len(p), len(q))
-    return tuple(
-        (p[i] if i < len(p) else zero) + (q[i] if i < len(q) else zero)
-        for i in range(n)
-    )
 
 
 # -------------------------------------------------------- numeric search
@@ -648,44 +633,105 @@ def _cert_to_strings(cert, f: Field):
 def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
     """Exhaustive decision over the subspace's own finite field."""
     f = L.field
-    q = f.size
-    n = L.cols
-    routes = {
-        "pre-annihilator": q**Lp.dim,
-        "input-subspaces": (modp.gaussian_binomial(n, k, q)
-                            if isinstance(f, PrimeFieldDomain) else None),
-    }
-    use_columns = (
-        isinstance(f, PrimeFieldDomain)
-        and routes["input-subspaces"] is not None
-        and routes["input-subspaces"] < modp.projective_count(Lp.dim, q)
-    )
-    if use_columns and routes["input-subspaces"] <= budget:
-        ev["steps"].append("exhaustive definitional route over own field")
-        ok, X, pts = definitional_k_transitive_ff(L, k, budget)
-        ev["points"] = pts
-        if ok:
-            return TransitivityVerdict(
-                Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
-        coeffs, T = _witness_from_failing_input(L, Lp, X, k)
-        ev["witness_field"] = f.tag
-        w = RankWitness(tuple(coeffs), T, k)
-        _require(w.verify(Lp), "rank witness")
-        return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
     try:
-        ev["steps"].append("exhaustive pre-annihilator route over own field")
-        coeffs, T, pts = _ff_low_rank_threshold(Lp, k, budget)
-        ev["points"] = pts
+        coeffs, T = _low_rank_over_own_field(L, Lp, k, budget, ev)
     except BudgetExceeded:
         ev["steps"].append("enumeration exceeds the budget")
         return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
     if coeffs is None:
         return TransitivityVerdict(
-            Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
+            Status.CERTIFIED_FINITE_FIELD, k, None, (f.size,), ev)
     ev["witness_field"] = f.tag
     w = RankWitness(tuple(coeffs), T, k)
     _require(w.verify(Lp), "rank witness")
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
+
+
+_STEP_TEXT = {
+    "input-subspaces": "exhaustive definitional route over own field",
+    "pre-annihilator": "exhaustive pre-annihilator route over own field",
+    "output-subspaces": "exhaustive output-subspace route over own field",
+}
+
+
+def _choose_route(f, m: int, n: int, d_perp: int, k: int, budget: int):
+    """The exhaustive route over the finite field f, by point count.
+
+    The pre-annihilator route visits the projective_count(d_perp, q)
+    elements of L^perp up to scalars, the input-subspace route the Gr(k, n)
+    input subspaces of L and the output-subspace route the Gr(k, m) input
+    subspaces of L^T; the last two need a prime field.  The witness route
+    is the cheaper of the first two, ties to the pre-annihilator, when its
+    enumeration fits the budget; the output route replaces it only when
+    strictly cheaper.  Returns (route, witness route, counts), both routes
+    None when no route fits the budget.
+    """
+    q = f.size
+    counts = {"pre-annihilator": modp.projective_count(d_perp, q)}
+    if isinstance(f, PrimeFieldDomain):
+        counts["input-subspaces"] = modp.gaussian_binomial(n, k, q)
+        counts["output-subspaces"] = modp.gaussian_binomial(m, k, q)
+    cols = counts.get("input-subspaces")
+    if cols is not None and cols < counts["pre-annihilator"] and cols <= budget:
+        witness_route = "input-subspaces"
+    elif q**d_perp <= budget:
+        witness_route = "pre-annihilator"
+    else:
+        return None, None, counts
+    route = witness_route
+    if counts.get("output-subspaces", counts[route]) < counts[route]:
+        route = "output-subspaces"
+    return route, witness_route, counts
+
+
+def _low_rank_over_own_field(L, Lp, k, budget, info):
+    """The first nonzero element of rank <= k of Lp over L's own finite
+    field, as (coeffs, T), or (None, None) when there is none.
+
+    Runs the route of _choose_route and records the compared counts, the
+    route and its points in info.  The witness is the first one of the
+    witness route in its documented order; when the output route finds a
+    failure, the witness route runs as well and must fail too, and both
+    routes and their points are recorded.  Raises BudgetExceeded when no
+    route fits the budget.
+    """
+    route, witness_route, info["route_choice"] = _choose_route(
+        L.field, L.rows, L.cols, Lp.dim, k, budget)
+    if route is None:
+        raise BudgetExceeded("both enumeration routes exceed the budget")
+    info["route"] = route
+    steps = info.get("steps")
+    if steps is not None:
+        steps.append(_STEP_TEXT[route])
+    if route == "output-subspaces":
+        # L is k-transitive iff L^T is: (L^T)^perp = (L^perp)^T, and
+        # transposing keeps every rank
+        ok, _X, info["points"] = modp.surjectivity_scan(
+            _subspace_to_int_array(L).transpose(0, 2, 1), k, L.field.size)
+        if ok:
+            return None, None
+        info["witness_route"] = witness_route
+        if steps is not None:
+            steps.append(_STEP_TEXT[witness_route])
+        coeffs, T, info["witness_points"] = _witness_route_scan(
+            witness_route, L, Lp, k, budget)
+        _require(coeffs is not None, "output-subspace scan")
+        return coeffs, T
+    coeffs, T, info["points"] = _witness_route_scan(route, L, Lp, k, budget)
+    return coeffs, T
+
+
+def _witness_route_scan(route, L, Lp, k, budget):
+    """(coeffs, T, points) of the first rank <= k element of Lp that the
+    input-subspace or pre-annihilator route finds, coeffs and T None when
+    it finds none."""
+    if route == "pre-annihilator":
+        return _ff_low_rank_threshold(Lp, k, budget)
+    ok, X, pts = definitional_k_transitive_ff(L, k, budget)
+    if ok:
+        return None, None, pts
+    coeffs, T = _witness_from_failing_input(L, Lp, X, k)
+    return coeffs, T, pts
 
 
 def _witness_from_failing_input(L, Lp, X: Mat, k: int):
@@ -717,7 +763,6 @@ def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityV
 
     Returns a final verdict, or None to let the caller continue with the
     numeric search (mixed or over-budget outcomes)."""
-    n = L.cols
     ev.setdefault("ff", {})
     certified = []
     used = []
@@ -738,26 +783,13 @@ def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityV
                 pass
             continue
         used.append(p)
-        col_pts = modp.gaussian_binomial(n, k, p)
-        pre_pts_raw = p**Lpq.dim
-        use_columns = col_pts < modp.projective_count(Lpq.dim, p)
-        if use_columns and col_pts <= budget:
-            info["route"] = "input-subspaces"
-            ok, X, pts = definitional_k_transitive_ff(Lq, k, budget)
-            info["points"] = pts
-            if ok:
-                certified.append(p)
-                continue
-            coeffs, T = _witness_from_failing_input(Lq, Lpq, X, k)
-        elif pre_pts_raw <= budget:
-            info["route"] = "pre-annihilator"
-            coeffs, T, pts = _ff_low_rank_threshold(Lpq, k, budget)
-            info["points"] = pts
-            if coeffs is None:
-                certified.append(p)
-                continue
-        else:
-            info["skipped"] = "both enumeration routes exceed the budget"
+        try:
+            coeffs, _T = _low_rank_over_own_field(Lq, Lpq, k, budget, info)
+        except BudgetExceeded as exc:
+            info["skipped"] = str(exc)
+            continue
+        if coeffs is None:
+            certified.append(p)
             continue
         # a low-rank element exists mod p: try to lift it to an exact witness
         info["low_rank_mod_p"] = True

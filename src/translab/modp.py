@@ -26,6 +26,15 @@ rank t; only the others are ranked again on their D rows.  The
 oversampling s = s(q) is the least s >= 1 with q^(s+1) >= 2^10, which
 leaves about q^-(s+1) of the full-rank points to re-rank.  S only decides
 how much work is repeated, never the answer.
+
+The definitional scan also shares elimination between its points.
+Consecutive representatives X share their first k - 1 rows P and differ
+in the last row x.  With M1 = [A_d P] and M2 = [A_d x],
+rank [M1 | M2] = rank M1 + rank (Q M2) for any Q whose rows span the left
+kernel of M1, so one elimination of M1 per run of equal prefixes leaves
+each point an m-column rank instead of an m k-column one.  The identity is
+exact, so every rank is the one of the matrix itself, and with it the
+scan's answer.
 """
 
 from __future__ import annotations
@@ -351,6 +360,81 @@ def _input_products(block: np.ndarray, flat2: np.ndarray, m: int,
     return out.reshape(B, k, R, m).transpose(0, 2, 3, 1).reshape(B, R, m * k)
 
 
+# the prefix path of _input_ranks pays off once it saves about this many
+# cell updates on a block; below it, its extra numpy calls cost more
+_PREFIX_MIN_SAVING = 1 << 15
+
+
+def _input_ranks(block: np.ndarray, flat2: np.ndarray, m: int, q: int,
+                 inv: np.ndarray) -> np.ndarray:
+    """batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv),
+    with one elimination per run of representatives that share their
+    first k - 1 rows.
+
+    Write the matrix of X as [M1 | M2], M1 = [A_d P] for the first k - 1
+    rows P and M2 = [A_d x] for the last row x.  For Q spanning the left
+    kernel of M1, rank [M1 | M2] = rank M1 + rank (Q M2).  One _eliminate
+    of [A_d P | A_d e_t] per run, with lead (k - 1) m, gives rank M1 and
+    leaves Q [A_d e_t] on the rows without a pivot and zero on the pivot
+    rows, for every unit vector e_t on which some x of the block is
+    nonzero; Q M2 is then sum_t x_t Q [A_d e_t], an m-column matrix per
+    point.  Runs are maximal blocks of consecutive equal prefixes, so any
+    order of the block gives the same ranks.
+
+    Each point then costs m(m-1)/2 column updates and u m column
+    combinations (u <= n - k + 1 unit vectors) instead of t(t-1)/2 column
+    updates, t = m k.  Blocks where that saves less than
+    _PREFIX_MIN_SAVING cell updates, or whose runs average fewer than two
+    points, take the direct route.
+    """
+    B, k, n = block.shape
+    R = flat2.shape[1] // m
+    t = m * k
+    saving = B * R * ((t * (t - 1) - m * (m - 1)) // 2 - (n - k + 1) * m)
+    if k == 1 or saving < _PREFIX_MIN_SAVING:
+        return batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv)
+    pre = block[:, :k - 1]
+    shift = (pre[1:] != pre[:-1]).any(axis=(1, 2))
+    starts = np.concatenate(([0], np.flatnonzero(shift) + 1))
+    G = len(starts)
+    if 2 * G > B:
+        return batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv)
+    lead = (k - 1) * m
+    group = np.concatenate(([0], np.cumsum(shift)))
+    x = block[:, k - 1]
+    used = np.flatnonzero(x.any(axis=0))
+    u = len(used)
+    # M[c, g, r]: column c, row r of [A_r P_g | A_r e_t for t in used]
+    M = np.empty((lead + u * m, G, R), dtype=np.int32)
+    prod = _mod_matmul(pre[starts].reshape(G * (k - 1), n), flat2, q)
+    M[:lead] = (prod.reshape(G, k - 1, R, m).transpose(1, 3, 0, 2)
+                .reshape(lead, G, R))
+    M[lead:] = flat2[used].reshape(u, R, m).transpose(0, 2, 1).reshape(
+        u * m, 1, R)
+    rank1, work = _eliminate(M.transpose(1, 2, 0), lead, q, inv)
+    # comp[t, i, g, r]: entry (r, i) of Q_g [A_d e_t]; sums of u products
+    # of residues fit dt
+    dt = _rank_dtype(q, u)
+    comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, G, R)
+    # rows that are zero for every t (the pivot rows among them) add
+    # nothing to any rank: move the others first, in order, and keep as
+    # many rows as the fullest run needs
+    live = comp.any(axis=(0, 1))
+    order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(1).max()]
+    comp = np.take_along_axis(comp, order[None, None], axis=3)
+    xs = x[:, used].T.astype(dt)
+    # qm2[i, b, r]: entry (r, i) of Q M2 for point b, in the kernel's layout
+    qm2 = comp[0].take(group, axis=1)
+    qm2 *= xs[0, :, None]
+    for j in range(1, u):
+        term = comp[j].take(group, axis=1)
+        term *= xs[j, :, None]
+        qm2 += term
+        del term
+    rank2 = _eliminate(_reduce(qm2, q).transpose(1, 2, 0), m, q, inv)[0]
+    return rank1[group] + rank2
+
+
 def surjectivity_scan(basis: np.ndarray, k: int, q: int,
                       chunk: int = DEFAULT_CHUNK):
     """Definitional k-transitivity scan over GF(q), q prime.
@@ -367,6 +451,13 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     candidates, ranked again in one call on their full D-row products, and
     the first candidate whose full rank is below t is the block's first
     failure.  The result is therefore the same for every S.
+
+    Both rankings go through _input_ranks, which eliminates the first
+    k - 1 rows of each run of representatives once and ranks only the
+    m-column remainder Q M2 of each point (rank M = rank M1 + rank Q M2,
+    Q spanning the left kernel of M1).  It returns every point's own rank,
+    so blocks, points, candidates and the first failure are those of
+    ranking each M directly.
 
     Returns (ok, first_failure, points): first_failure is the (n, k) input
     matrix (columns are the representative rows) of the first failing
@@ -385,13 +476,11 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
         probe = _basis_columns(
             _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
     for block in iter_rref_blocks(n, k, q, chunk):
-        ranks = batched_rank_mod_p(_input_products(block, probe, m, q), q,
-                                   inv)
+        ranks = _input_ranks(block, probe, m, q, inv)
         points += block.shape[0]
         bad = np.nonzero(ranks < target)[0]
         if sketched and bad.size:
-            full_ranks = batched_rank_mod_p(
-                _input_products(block[bad], full, m, q), q, inv)
+            full_ranks = _input_ranks(block[bad], full, m, q, inv)
             bad = bad[full_ranks < target]
         if bad.size:
             i = int(bad[0])

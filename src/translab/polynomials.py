@@ -473,6 +473,12 @@ class BinaryForm:
         self.inf_mult = degree - (len(p) - 1) if p else degree
         self.degree = degree
 
+    @classmethod
+    def from_poly(cls, poly: Sequence, inf_mult: int) -> "BinaryForm":
+        """The form of the trimmed polynomial poly with inf_mult roots at
+        infinity, of degree deg poly + inf_mult."""
+        return cls(poly, (len(poly) - 1 if poly else 0) + inf_mult)
+
     def is_zero(self) -> bool:
         return not self.poly
 
@@ -487,11 +493,7 @@ class BinaryForm:
         for f in live[1:]:
             g = poly_gcd(g, f.poly)
             inf = min(inf, f.inf_mult)
-        out = BinaryForm.__new__(BinaryForm)
-        out.poly = monic(g)
-        out.inf_mult = inf
-        out.degree = (len(g) - 1 if g else 0) + inf
-        return out
+        return BinaryForm.from_poly(monic(g), inf)
 
     def has_projective_root(self) -> bool:
         return self.inf_mult > 0 or len(self.poly) > 1

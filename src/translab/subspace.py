@@ -353,17 +353,16 @@ class MatrixSubspace:
     def reduce_mod(self, q: int) -> "MatrixSubspace":
         """Entrywise reduction of the canonical basis into GF(q).
 
-        The canonical basis has unit pivots, so reduction preserves both the
-        echelon structure and the dimension (raises BadPrime when a
+        The canonical basis has unit pivots and zeros elsewhere in its pivot
+        columns, so its reduction is already in reduced row echelon form
+        over GF(q) with the same pivots: it is the canonical basis of the
+        reduced space, of the same dimension (raises BadPrime when a
         denominator collides with the characteristic).
         """
         red = [_reduce_mat(B, q) for B in self.basis]
-        out = MatrixSubspace.from_generators(
-            red, rows=self.rows, cols=self.cols,
-            field=red[0].field if red else None) if red else None
-        if out is None:
+        if not red:
             from .fields import GF
 
             return MatrixSubspace.zero_space(GF(q), self.rows, self.cols)
-        assert out.dim == self.dim, "reduction dropped dimension unexpectedly"
-        return out
+        return MatrixSubspace(red[0].field, self.rows, self.cols, red,
+                              self._pivots)

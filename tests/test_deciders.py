@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import translab
 
@@ -411,6 +411,153 @@ def test_input_subspace_route_matches_preannihilator_route(L):
     for k in range(1, L.cols + 1):
         ok, _X, _pts = definitional_k_transitive_ff(L, k)
         assert ok == (low is None or low > k), k
+
+
+@st.composite
+def _rectangular_prime_space(draw):
+    # m != n up to 4 x 5 or 5 x 4; pre-annihilators small enough for the
+    # exhaustive min-rank reference
+    p = draw(st.sampled_from([2, 3, 5]))
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 6)
+                                 for n in range(1, 6)
+                                 if m != n and m * n <= 20]))
+    f = GF(p)
+    d = draw(st.integers(max(0, m * n - {2: 12, 3: 8, 5: 6}[p]), m * n))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=d * m * n,
+                            max_size=d * m * n))
+    gens = [Mat(f, m, n, [f.from_int(x) for x in entries[i * m * n:
+                                                         (i + 1) * m * n]])
+            for i in range(d)]
+    return MatrixSubspace.from_generators(gens, rows=m, cols=n, field=f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rectangular_prime_space())
+def test_output_subspace_route_matches_input_route(L):
+    # (L^T)^perp = (L^perp)^T and transposing keeps rank, so L is
+    # k-transitive iff L^T is: the scan over the input subspaces of L^T
+    # must agree with the scan over those of L and with the min-rank test,
+    # and check_k_transitive, whichever route it takes, with both
+    Lp = L.preannihilator()
+    # dependent generators can leave too large a pre-annihilator
+    assume(L.field.size ** Lp.dim <= 5 ** 6)
+    low = min_rank_ff_exhaustive(Lp)[0] if Lp.dim else None
+    LT = L.transpose_space()
+    for k in range(1, min(L.rows, L.cols) + 1):
+        expect = low is None or low > k
+        assert definitional_k_transitive_ff(L, k)[0] == expect, k
+        assert definitional_k_transitive_ff(LT, k)[0] == expect, k
+        assert check_k_transitive(L, k).certified == expect, k
+
+
+# m < n spaces on which the output-subspace route runs and fails mod p,
+# with the verdict fields that the input-subspace and pre-annihilator
+# routes alone give: (kind, p, m, n, k, generators, pinned).  "gf": L over
+# GF(p) from its generators; "q": L over Q from its generators, checked
+# with strategy "ff"; "perp": L = V^perp over Q for V from its generators
+_OUTPUT_ROUTE_WITNESSES = [
+    ("gf", 5, 2, 4, 1,
+     [[1, 1, 0, 4, 2, 1, 2, 2], [2, 2, 4, 3, 0, 2, 4, 0],
+      [2, 2, 1, 4, 1, 4, 0, 2], [1, 1, 2, 3, 3, 2, 2, 0]],
+     {"status": "disproved", "coefficients": [0, 0, 1, 2],
+      "matrix": [[0, 0], [1, 2], [4, 3], [2, 4]]}),
+    ("gf", 5, 2, 4, 1,
+     [[2, 4, 1, 0, 4, 1, 1, 0], [4, 0, 1, 2, 3, 0, 4, 0],
+      [2, 2, 1, 1, 2, 4, 3, 0]],
+     {"status": "disproved", "coefficients": [2, 1, 4, 2, 4],
+      "matrix": [[2, 1], [4, 2], [1, 3], [3, 4]]}),
+    ("gf", 5, 3, 4, 2,
+     [[0, 4, 1, 2, 3, 0, 0, 3, 2, 0, 4, 0],
+      [0, 4, 2, 4, 3, 4, 0, 1, 2, 1, 3, 3],
+      [4, 0, 2, 3, 2, 4, 3, 0, 2, 1, 1, 1],
+      [4, 3, 4, 2, 3, 1, 0, 3, 2, 4, 0, 3],
+      [4, 3, 0, 4, 0, 3, 0, 1, 0, 3, 3, 1],
+      [0, 4, 4, 1, 0, 3, 2, 3, 4, 3, 1, 3],
+      [4, 4, 1, 3, 3, 0, 4, 2, 4, 3, 4, 3]],
+     {"status": "disproved", "coefficients": [0, 0, 0, 1, 0],
+      "matrix": [[0, 0, 0], [1, 0, 3], [3, 1, 4], [4, 3, 2]]}),
+    ("q", 0, 2, 4, 1,
+     [[0, 1, -2, 2, -2, 2, -1, 2], [1, 1, 2, 1, 0, 1, 1, -1],
+      [-2, -1, 2, 0, -2, 0, 2, 2]],
+     {"status": "unknown",
+      "lifts": {"5": {"low_rank_mod_p": True, "lifted": False},
+                "7": {"skipped": True},
+                "11": {"low_rank_mod_p": True, "lifted": False}}}),
+    ("perp", 0, 2, 4, 1,
+     [[1, -1, 1, -1, 1, -1, 0, 0], [0, 0, 2, -1, 2, -2, 2, -1],
+      [1, 1, 2, 0, 2, 1, 2, 0]],
+     {"status": "disproved", "coefficients": [1, -1, 1],
+      "matrix": [[1, -1], [1, -1], [1, -1], [0, 0]],
+      "lifts": {"5": {"low_rank_mod_p": True, "lifted": False},
+                "7": {"low_rank_mod_p": True, "lifted": True}}}),
+    ("perp", 0, 3, 5, 2,
+     [[0, 0, 0, -1, 1, -1, 0, 0, 0, 0, 0, 0, 1, -1, 1],
+      [0, 2, 1, 2, -2, 0, 2, 2, -2, 1, -1, 1, 1, -1, -1],
+      [-1, -2, -2, -1, 2, 2, -2, 1, -2, 0, -1, -1, 1, -2, 0],
+      [-1, 1, 0, 0, -2, -1, -2, 1, -2, 1, 1, -1, -2, -1, 1],
+      [-2, 2, -2, -2, 2, -1, -1, 0, -2, -2, -1, 2, -2, 2, -2],
+      [2, 1, 2, -1, 1, -2, 1, -1, -2, 2, -1, -1, 2, -2, -2]],
+     {"status": "disproved", "coefficients": [0, 0, 0, 1, -1, 1],
+      "matrix": [[0, 0, 0], [1, -1, 1], [0, 0, 0], [0, 0, 0],
+                 [-1, 1, -1]],
+      "lifts": {"5": {"low_rank_mod_p": True, "lifted": True}}}),
+]
+
+
+@pytest.mark.parametrize("case", _OUTPUT_ROUTE_WITNESSES)
+def test_output_subspace_route_keeps_witnesses(case):
+    # the output route only decides: a failure it finds is re-derived on
+    # the route chosen without it, so statuses, witnesses and lift
+    # attempts stay those that route gives
+    kind, p, m, n, k, gens, pinned = case
+    f = GF(p) if kind == "gf" else QQ
+    rows, cols = (n, m) if kind == "perp" else (m, n)
+    S = MatrixSubspace.from_generators(
+        [Mat(f, rows, cols, [f.from_int(x) for x in g]) for g in gens],
+        rows=rows, cols=cols, field=f)
+    L = S.preannihilator() if kind == "perp" else S
+    v = check_k_transitive(L, k, strategy="auto" if kind == "gf" else "ff")
+    assert v.status.value == pinned["status"]
+    if "coefficients" in pinned:
+        assert v.witness.coefficients == tuple(
+            f.from_int(c) for c in pinned["coefficients"])
+        assert v.witness.matrix.tolists() == [
+            [f.from_int(x) for x in row] for row in pinned["matrix"]]
+    else:
+        assert v.witness is None
+    infos = [v.evidence] if kind == "gf" else [
+        info for key, info in v.evidence["ff"].items()
+        if key != "certified_primes"]
+    assert any(info.get("route") == "output-subspaces"
+               and info["witness_route"] in ("input-subspaces",
+                                             "pre-annihilator")
+               and info["points"] <= info["route_choice"]["output-subspaces"]
+               for info in infos if "route" in info)
+    if kind != "gf":
+        lifts = {key: ({"skipped": True} if "skipped" in info else
+                       {"low_rank_mod_p": info.get("low_rank_mod_p"),
+                        "lifted": info.get("lifted")})
+                 for key, info in v.evidence["ff"].items()
+                 if key != "certified_primes"}
+        assert lifts == pinned["lifts"]
+
+
+def test_output_subspace_failure_must_be_confirmed(monkeypatch):
+    # a failure of the output route that the witness route does not find
+    # is a bug, not a disproof
+    from translab.errors import VerificationFailed
+
+    L = minimal_k_transitive(2, 4, 1).reduce_mod(5)
+    v = check_k_transitive(L, 1)
+    assert v.status == Status.CERTIFIED_FINITE_FIELD
+    assert v.evidence["route"] == "output-subspaces"
+    assert v.evidence["route_choice"] == {
+        "pre-annihilator": 31, "input-subspaces": 156,
+        "output-subspaces": 6}
+    monkeypatch.setattr(modp, "surjectivity_scan",
+                        lambda basis, k, q, chunk=0: (False, None, 1))
+    with pytest.raises(VerificationFailed, match="output-subspace scan"):
+        check_k_transitive(L, 1)
 
 
 @pytest.mark.parametrize("p,m,n,dim,k", [(7, 8, 8, 30, 1), (5, 3, 7, 6, 1),

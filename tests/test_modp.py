@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from translab.fields import GF
 from translab.matrices import Mat
@@ -247,3 +248,66 @@ def test_surjectivity_scan_compression_is_exact(monkeypatch):
                     assert got[0] == ref[0] and got[2] == ref[2], (p, m, n, k)
                     if not ref[0]:
                         assert np.array_equal(got[1], ref[1]), (p, m, n, k)
+
+
+def _basis_killing(rng, p, m, n, D, x0):
+    """A random D-dimensional subspace of {A : h^T A x0 = 0} for a random
+    h with nonzero entries; x0 must be nonzero."""
+    h = rng.integers(1, p, size=m)
+    t0 = int(np.flatnonzero(x0)[0])
+    scale = pow(int(h[0] * x0[t0]), p - 2, p)
+    while True:
+        A = rng.integers(0, p, size=(D, m, n))
+        resid = np.einsum("i,dit,t->d", h, A, x0) % p
+        A[:, 0, t0] = (A[:, 0, t0] - resid * scale) % p
+        assert not (np.einsum("i,dit,t->d", h, A, x0) % p).any()
+        if batched_rank_mod_p(A.reshape(1, D, m * n), p)[0] == D:
+            return A
+
+
+# (p, m, n, k, D): k = 2..4, p in {2, 3, 5, 7}, at most 156 points
+_PREFIX_SHAPES = [(2, 3, 5, 2, 8), (3, 2, 4, 2, 6), (5, 3, 3, 2, 7),
+                  (7, 2, 3, 2, 5), (5, 3, 4, 3, 11), (3, 2, 4, 3, 7),
+                  (2, 2, 5, 4, 9), (3, 2, 5, 4, 9)]
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_input_ranks_match_direct_ranks(monkeypatch, forced):
+    # rank [M1 | M2] = rank M1 + rank(Q M2): the prefix path must return
+    # exactly the ranks of the direct route, point by point, when the
+    # first k - 1 rows fail (the prefix holds e_1 and h^T A e_1 = 0), when
+    # the last row fails (it is e_n and h^T A e_n = 0), and on blocks cut
+    # inside a run of equal prefixes or thinned to every other point;
+    # forced takes the prefix path on every block that has runs, and the
+    # unforced scan-sized blocks choose their route by the saving
+    from translab import modp
+
+    eliminate = modp._eliminate
+    leads = []
+
+    def spy(mats, lead, p, inv=None):
+        leads.append(lead)
+        return eliminate(mats, lead, p, inv)
+
+    monkeypatch.setattr(modp, "_eliminate", spy)
+    if forced:
+        monkeypatch.setattr(modp, "_PREFIX_MIN_SAVING", float("-inf"))
+    rng = np.random.default_rng(17)
+    for p, m, n, k, D in _PREFIX_SHAPES:
+        inv = inverse_table(p)
+        for x0 in np.eye(n, dtype=np.int64)[[0, -1]]:
+            flat2 = modp._basis_columns(_basis_killing(rng, p, m, n, D, x0),
+                                        p)
+            deficient = 0
+            leads.clear()
+            for chunk in (1, 7, 40)[:3 * forced] + (modp.DEFAULT_CHUNK,):
+                for block in iter_rref_blocks(n, k, p, chunk):
+                    for part in (block, block[::2])[:1 + (chunk > 1)]:
+                        want = batched_rank_mod_p(
+                            modp._input_products(part, flat2, m, p), p, inv)
+                        got = modp._input_ranks(part, flat2, m, p, inv)
+                        assert got.tolist() == want.tolist(), (p, m, n, k,
+                                                               chunk)
+                        deficient += int((want < m * k).sum())
+            assert deficient, (p, m, n, k)
+            assert not forced or (k - 1) * m in leads, (p, m, n, k)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from translab.errors import NotIdempotent, ShapeMismatch, SingularTransform
+from translab.errors import (BadPrime, NotIdempotent, ShapeMismatch,
+                             SingularTransform)
 from translab.families import (
     dual_transitive_8dim,
     toeplitz_space,
@@ -281,3 +282,26 @@ def test_reduce_mod_preserves_canonical_dimension():
     # reduction of the canonical basis stays canonical
     rebuilt = MatrixSubspace.from_generators(list(T3p.basis))
     assert rebuilt == T3p
+
+
+def test_reduce_mod_matches_canonicalized_reduction():
+    # reduce_mod keeps the reduced canonical basis as it is: it must be
+    # exactly the basis that canonicalizing the reduced generators gives,
+    # over Q and Q(i), into GF(p) and GF(p^2)
+    rng = random.Random(31)
+    reduced = 0
+    for field, q in ((QQ, 5), (QQ, 7), (QQ, 9), (QI, 5), (QI, 13), (QI, 9)):
+        for _ in range(6):
+            d = rng.randint(1, 5)
+            gens = [Mat(field, 2, 3, [field.from_int(rng.randint(-4, 4))
+                                      for _ in range(6)]) for _ in range(d)]
+            L = MatrixSubspace.from_generators(gens)
+            try:
+                R = L.reduce_mod(q)
+            except BadPrime:
+                continue
+            reduced += 1
+            rebuilt = MatrixSubspace.from_generators(list(R.basis))
+            assert R.basis == rebuilt.basis and R.dim == L.dim
+            assert R.field == GF(q)
+    assert reduced >= 24
