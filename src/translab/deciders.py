@@ -517,15 +517,17 @@ def _perm_sign(perm) -> int:
 def rank_witness_search_numeric(V: MatrixSubspace, k: int, *, seed: int = 0,
                                 iterations: int = 300, restarts: int = 10,
                                 tol: float = 1e-9,
-                                max_denominator: int = 10**6
+                                max_denominator: int = 10**6,
+                                stats: Optional[dict] = None
                                 ) -> Optional[RankWitness]:
     """Alternating-minimization front end; never returns an unverified
-    witness (failure is None, false positives are impossible)."""
+    witness (failure is None, false positives are impossible).  A given
+    stats dict receives the search's integer counts."""
     if V.field not in (QQ, QI):
         raise ShapeMismatch("numeric search runs over Q or Qi")
     hit = search_low_rank_element(
         V, k, seed=seed, iterations=iterations, restarts=restarts, tol=tol,
-        max_denominator=max_denominator)
+        max_denominator=max_denominator, stats=stats)
     if hit is None:
         return None
     coeffs, T = hit
@@ -614,9 +616,11 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 
     if strategy in ("auto", "numeric"):
         ev["steps"].append("numeric witness search")
+        ev["numeric"] = {}
         w = rank_witness_search_numeric(
             Lp, k, seed=seed, iterations=numeric_iterations,
-            restarts=numeric_restarts, max_denominator=max_denominator)
+            restarts=numeric_restarts, max_denominator=max_denominator,
+            stats=ev["numeric"])
         if w is not None:
             ev["witness_field"] = Lp.field.tag
             return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)

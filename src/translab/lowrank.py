@@ -8,7 +8,10 @@ vectors are snapped to exact rationals through continued-fraction
 convergents (Fraction.limit_denominator) over an increasing denominator
 ladder, and every snapped candidate is verified exactly; only candidates
 that pass exact verification are ever reported, so the search can miss
-witnesses but can never fabricate one.
+witnesses but can never fabricate one.  Restarts run lazily in seed order
+and the search stops at the first restart whose snapped candidate
+verifies; each iterate's truncated SVD serves both its residual check and
+the next coefficient update.
 """
 
 from __future__ import annotations
@@ -55,32 +58,29 @@ def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
     return (U * s) @ Vh
 
 
-def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
-                                  seed: int = 0, iterations: int = 300,
-                                  restarts: int = 10,
-                                  tol: float = 1e-9) -> list[np.ndarray]:
-    """Converged float coefficient vectors (unit norm, deterministic sign),
-    one per restart that reached the residual tolerance."""
+def _converged_restarts(space: MatrixSubspace, k: int, *, seed: int,
+                        iterations: int, restarts: int, tol: float,
+                        stats: Optional[dict] = None):
+    """Yield, restart by restart, each converged coefficient vector (unit
+    norm, deterministic phase); counts restarts and converged in stats."""
     D = space.dim
     if D == 0 or k < 1:
-        return []
+        return
     m, n = space.rows, space.cols
     flat = _basis_to_floats(space)
-    gram = flat @ flat.conj().T
-    gram_pinv = np.linalg.pinv(gram)
+    flat_h = flat.conj()
+    gram_pinv = np.linalg.pinv(flat @ flat_h.T)
     rng = np.random.default_rng(seed)
     complex_field = flat.dtype == np.complex128
-    found = []
     for _ in range(restarts):
         c = rng.standard_normal(D)
         if complex_field:
             c = c + 1j * rng.standard_normal(D)
         c = c / np.linalg.norm(c)
+        Tk = _truncate_rank((c @ flat).reshape(m, n), k)
         ok = False
         for _ in range(iterations):
-            T = (c @ flat).reshape(m, n)
-            Tk = _truncate_rank(T, k)
-            c_new = gram_pinv @ (flat.conj() @ Tk.reshape(-1))
+            c_new = gram_pinv @ (flat_h @ Tk.reshape(-1))
             nrm = np.linalg.norm(c_new)
             if nrm < 1e-13:
                 break
@@ -88,18 +88,31 @@ def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
             delta = np.linalg.norm(c_new - c)
             c = c_new
             T = (c @ flat).reshape(m, n)
-            resid = np.linalg.norm(T - _truncate_rank(T, k))
+            Tk = _truncate_rank(T, k)
+            resid = np.linalg.norm(T - Tk)
             scale = max(np.linalg.norm(T), 1e-300)
             if resid / scale < tol:
                 ok = True
                 break
             if delta < 1e-15:
                 break
+        if stats is not None:
+            stats["restarts"] += 1
+            stats["converged"] += ok
         if ok:
             # deterministic phase: scale so the largest coordinate is +1
             j = int(np.argmax(np.abs(c)))
-            found.append(c / c[j])
-    return found
+            yield c / c[j]
+
+
+def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
+                                  seed: int = 0, iterations: int = 300,
+                                  restarts: int = 10,
+                                  tol: float = 1e-9) -> list[np.ndarray]:
+    """Converged float coefficient vectors (unit norm, deterministic sign),
+    one per restart that reached the residual tolerance."""
+    return list(_converged_restarts(space, k, seed=seed, iterations=iterations,
+                                    restarts=restarts, tol=tol))
 
 
 def _snap(space: MatrixSubspace, c: np.ndarray, bound: int):
@@ -126,16 +139,24 @@ def verify_low_rank_candidate(space: MatrixSubspace, coeffs, k: int) -> Optional
 def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
                             iterations: int = 300, restarts: int = 10,
                             tol: float = 1e-9,
-                            max_denominator: int = 10**6):
+                            max_denominator: int = 10**6,
+                            stats: Optional[dict] = None):
     """Search for a nonzero element of rank <= k in the space.
 
     Returns (coefficients, matrix) with exact entries, or None.  Failure is
-    always possible; a returned element is exactly verified.
+    always possible; a returned element is exactly verified.  Restarts run
+    lazily in seed order, and the search returns at the first restart whose
+    snapped candidate verifies, so later restarts never run.  A given stats
+    dict receives integer counts: restarts run, restarts converged,
+    candidates rejected as zero or for rank > k, and the ladder denominator
+    of the accepted snap.
     """
-    for c in numeric_low_rank_coefficients(
+    if stats is None:
+        stats = {}
+    stats.update(restarts=0, converged=0, rejected_zero=0, rejected_rank=0)
+    for c in _converged_restarts(
             space, k, seed=seed, iterations=iterations, restarts=restarts,
-            tol=tol):
-        c = c.copy()
+            tol=tol, stats=stats):
         c[np.abs(c) < 1e-10] = 0.0
         for bound in DENOMINATOR_LADDER:
             if bound > max_denominator:
@@ -143,5 +164,7 @@ def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
             coeffs = _snap(space, c, bound)
             T = verify_low_rank_candidate(space, coeffs, k)
             if T is not None:
+                stats["denominator"] = bound
                 return coeffs, T
+            stats["rejected_zero" if not any(coeffs) else "rejected_rank"] += 1
     return None
