@@ -8,10 +8,10 @@ vectors are snapped to exact rationals through continued-fraction
 convergents (Fraction.limit_denominator) over an increasing denominator
 ladder, and every snapped candidate is verified exactly; only candidates
 that pass exact verification are ever reported, so the search can miss
-witnesses but can never fabricate one.  Restarts run lazily in seed order
-and the search stops at the first restart whose snapped candidate
-verifies; each iterate's truncated SVD serves both its residual check and
-the next coefficient update.
+witnesses but can never fabricate one.  Restarts run lazily in seed order,
+one numeric_low_rank_coefficients call each on a shared generator, and the
+search stops at the first restart whose snapped candidate verifies.  Each
+iterate's truncated SVD serves its residual check and the next update.
 """
 
 from __future__ import annotations
@@ -58,20 +58,25 @@ def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
     return (U * s) @ Vh
 
 
-def _converged_restarts(space: MatrixSubspace, k: int, *, seed: int,
-                        iterations: int, restarts: int, tol: float,
-                        stats: Optional[dict] = None):
-    """Yield, restart by restart, each converged coefficient vector (unit
-    norm, deterministic phase); counts restarts and converged in stats."""
+def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
+                                  seed: int = 0, iterations: int = 300,
+                                  restarts: int = 10, tol: float = 1e-9,
+                                  rng: Optional[np.random.Generator] = None
+                                  ) -> list[np.ndarray]:
+    """Converged float coefficient vectors (unit norm, deterministic sign),
+    one per restart that reached the residual tolerance.  Starting points
+    are drawn from rng, or from a generator seeded with seed."""
     D = space.dim
     if D == 0 or k < 1:
-        return
+        return []
     m, n = space.rows, space.cols
     flat = _basis_to_floats(space)
     flat_h = flat.conj()
     gram_pinv = np.linalg.pinv(flat @ flat_h.T)
-    rng = np.random.default_rng(seed)
+    if rng is None:
+        rng = np.random.default_rng(seed)
     complex_field = flat.dtype == np.complex128
+    found = []
     for _ in range(restarts):
         c = rng.standard_normal(D)
         if complex_field:
@@ -96,23 +101,11 @@ def _converged_restarts(space: MatrixSubspace, k: int, *, seed: int,
                 break
             if delta < 1e-15:
                 break
-        if stats is not None:
-            stats["restarts"] += 1
-            stats["converged"] += ok
         if ok:
             # deterministic phase: scale so the largest coordinate is +1
             j = int(np.argmax(np.abs(c)))
-            yield c / c[j]
-
-
-def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
-                                  seed: int = 0, iterations: int = 300,
-                                  restarts: int = 10,
-                                  tol: float = 1e-9) -> list[np.ndarray]:
-    """Converged float coefficient vectors (unit norm, deterministic sign),
-    one per restart that reached the residual tolerance."""
-    return list(_converged_restarts(space, k, seed=seed, iterations=iterations,
-                                    restarts=restarts, tol=tol))
+            found.append(c / c[j])
+    return found
 
 
 def _snap(space: MatrixSubspace, c: np.ndarray, bound: int):
@@ -145,26 +138,34 @@ def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
 
     Returns (coefficients, matrix) with exact entries, or None.  Failure is
     always possible; a returned element is exactly verified.  Restarts run
-    lazily in seed order, and the search returns at the first restart whose
-    snapped candidate verifies, so later restarts never run.  A given stats
-    dict receives integer counts: restarts run, restarts converged,
-    candidates rejected as zero or for rank > k, and the ladder denominator
-    of the accepted snap.
+    lazily in seed order, one numeric_low_rank_coefficients call each, and
+    the search returns at the first restart whose snapped candidate
+    verifies, so later restarts never run.  A given stats dict receives
+    integer counts: restarts run, restarts converged, candidates rejected
+    as zero or for rank > k, and the ladder denominator of the accepted snap.
     """
     if stats is None:
         stats = {}
     stats.update(restarts=0, converged=0, rejected_zero=0, rejected_rank=0)
-    for c in _converged_restarts(
-            space, k, seed=seed, iterations=iterations, restarts=restarts,
-            tol=tol, stats=stats):
-        c[np.abs(c) < 1e-10] = 0.0
-        for bound in DENOMINATOR_LADDER:
-            if bound > max_denominator:
-                break
-            coeffs = _snap(space, c, bound)
-            T = verify_low_rank_candidate(space, coeffs, k)
-            if T is not None:
-                stats["denominator"] = bound
-                return coeffs, T
-            stats["rejected_zero" if not any(coeffs) else "rejected_rank"] += 1
+    if space.dim == 0 or k < 1:
+        return None
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        # the shared rng gives the draws of one all-restart call
+        found = numeric_low_rank_coefficients(
+            space, k, iterations=iterations, restarts=1, tol=tol, rng=rng)
+        stats["restarts"] += 1
+        stats["converged"] += len(found)
+        for c in found:
+            c[np.abs(c) < 1e-10] = 0.0
+            for bound in DENOMINATOR_LADDER:
+                if bound > max_denominator:
+                    break
+                coeffs = _snap(space, c, bound)
+                T = verify_low_rank_candidate(space, coeffs, k)
+                if T is not None:
+                    stats["denominator"] = bound
+                    return coeffs, T
+                stats["rejected_zero" if not any(coeffs)
+                      else "rejected_rank"] += 1
     return None

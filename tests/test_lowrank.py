@@ -121,3 +121,30 @@ def test_search_stats_all_restarts_on_a_miss():
     assert v.evidence["numeric"] == {"restarts": 10, "converged": 0,
                                      "rejected_zero": 0, "rejected_rank": 0}
 
+
+
+def test_search_runs_one_public_call_per_restart(monkeypatch):
+    # the search's restarts are single-restart calls of the public
+    # numeric_low_rank_coefficients, so a wrapper of that function sees
+    # exactly the restarts run and the vectors that converged
+    from translab import lowrank
+
+    real = lowrank.numeric_low_rank_coefficients
+    calls = []
+
+    def counted(*args, **kwargs):
+        found = real(*args, **kwargs)
+        calls.append((kwargs["restarts"], len(found)))
+        return found
+
+    monkeypatch.setattr(lowrank, "numeric_low_rank_coefficients", counted)
+    for n, seed, _, counts in PINNED:
+        calls.clear()
+        V = toeplitz_space(n).preannihilator()
+        stats = {}
+        assert search_low_rank_element(V, 2, seed=seed, stats=stats)
+        assert [r for r, _ in calls] == [1] * counts["restarts"]
+        assert sum(c for _, c in calls) == stats["converged"]
+        # the shared generator gives the restarts of one all-restart call
+        assert stats["converged"] == len(real(
+            V, 2, seed=seed, restarts=counts["restarts"]))
