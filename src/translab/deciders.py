@@ -216,6 +216,23 @@ def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
                     dtype=np.int64).reshape(L.dim, L.rows, L.cols)
 
 
+def _scan_codes(V: MatrixSubspace) -> tuple:
+    """(codes, omega) for modp's projective scans: V's basis as a
+    (D, m, n) array of indices into V.field.elements(), and the field's
+    omega over GF(p^2), None over GF(p)."""
+    f = V.field
+    if isinstance(f, PrimeFieldDomain):
+        return _subspace_to_int_array(V), None
+    codes = [x.a * f.p + x.b for B in V.basis for x in B.entries()]
+    return (np.array(codes, dtype=np.int64).reshape(V.dim, V.rows, V.cols),
+            f.omega)
+
+
+def _from_codes(field: Field, codes) -> list:
+    elems = field.elements()
+    return [elems[int(c)] for c in codes]
+
+
 def _ints_to_mat(field: Field, arr) -> Mat:
     rows = len(arr)
     cols = len(arr[0])
@@ -272,24 +289,10 @@ def min_rank_ff_exhaustive(V: MatrixSubspace,
     if q**V.dim > budget:
         raise BudgetExceeded(
             f"{q}^{V.dim} points exceed the budget of {budget}")
-    if isinstance(f, PrimeFieldDomain):
-        basis = _subspace_to_int_array(V)
-        best, coeffs, _pts = modp.min_rank_scan(basis, q)
-        witness = RankWitness(
-            tuple(f.from_int(int(c)) for c in coeffs),
-            V.element([f.from_int(int(c)) for c in coeffs]),
-            best)
-        _require(witness.verify(V), "rank witness")
-        return best, witness
-    best = None
-    best_coeffs = None
-    for coeffs in _projective_tuples_generic(f, V.dim):
-        r = V.element(coeffs).rank()
-        if best is None or r < best:
-            best, best_coeffs = r, coeffs
-            if best == 1:
-                break
-    witness = RankWitness(tuple(best_coeffs), V.element(best_coeffs), best)
+    basis, omega = _scan_codes(V)
+    best, codes, _pts = modp.min_rank_scan(basis, q, omega=omega)
+    coeffs = _from_codes(f, codes)
+    witness = RankWitness(tuple(coeffs), V.element(coeffs), best)
     _require(witness.verify(V), "rank witness")
     return best, witness
 
@@ -302,20 +305,12 @@ def _ff_low_rank_threshold(V: MatrixSubspace, k: int, budget: int):
     q = f.size
     if q**V.dim > budget:
         raise BudgetExceeded(f"{q}^{V.dim} points exceed the budget")
-    if isinstance(f, PrimeFieldDomain):
-        basis = _subspace_to_int_array(V)
-        r, coeffs, pts = modp.min_rank_scan(basis, q, threshold=k)
-        if r is None:
-            return None, None, pts
-        c = [f.from_int(int(x)) for x in coeffs]
-        return tuple(c), V.element(c), pts
-    pts = 0
-    for coeffs in _projective_tuples_generic(f, V.dim):
-        pts += 1
-        T = V.element(coeffs)
-        if T.rank() <= k:
-            return tuple(coeffs), T, pts
-    return None, None, pts
+    basis, omega = _scan_codes(V)
+    r, codes, pts = modp.min_rank_scan(basis, q, threshold=k, omega=omega)
+    if r is None:
+        return None, None, pts
+    c = _from_codes(f, codes)
+    return tuple(c), V.element(c), pts
 
 
 def definitional_k_transitive_ff(L: MatrixSubspace, k: int,
@@ -393,23 +388,10 @@ def rank_extremes_ff(L: MatrixSubspace,
     q = f.size
     if q**L.dim > budget:
         raise BudgetExceeded(f"{q}^{L.dim} points exceed the budget")
-    n = L.rows
-    if isinstance(f, PrimeFieldDomain):
-        basis = _subspace_to_int_array(L)
-        r, rc, s, sc, pts = modp.rank_extremes_scan(basis, q)
-        rmat = L.element([f.from_int(int(c)) for c in rc])
-        smat = (L.element([f.from_int(int(c)) for c in sc])
-                if sc is not None else None)
-        return RankExtremes(int(r), rmat, None if s is None else int(s),
-                            smat, pts)
-    # the finite fields are GF(p) and GF(p^2)
-    basis = np.array([[(x.a, x.b) for x in B.entries()] for B in L.basis],
-                     dtype=np.int64).reshape(L.dim, n, n, 2)
-    r, rc, s, sc, pts = modp.quad_ext_rank_extremes_scan(
-        basis.transpose(0, 3, 1, 2), f.p, f.omega)
-    elems = f.elements()
-    rmat = L.element([elems[int(c)] for c in rc])
-    smat = L.element([elems[int(c)] for c in sc]) if sc is not None else None
+    basis, omega = _scan_codes(L)
+    r, rc, s, sc, pts = modp.rank_extremes_scan(basis, q, omega=omega)
+    rmat = L.element(_from_codes(f, rc))
+    smat = L.element(_from_codes(f, sc)) if sc is not None else None
     return RankExtremes(r, rmat, s, smat, pts)
 
 
@@ -762,30 +744,35 @@ def _witness_from_failing_input(L, Lp, X: Mat, k: int):
     return coeffs, T
 
 
+def _prime_plan(spaces, primes, ff: dict):
+    """Yield (p, reductions of spaces mod p, info) over the prime plan.
+
+    info is a fresh dict stored as ff[str(p)].  A prime at which some space
+    has no reduction (BadPrime) is not yielded: its info records the skip
+    and the next fallback prime not in the plan is appended instead."""
+    plan = list(primes)
+    fallback = iter([p for p in _FALLBACK_PRIMES if p not in plan])
+    while plan:
+        p = plan.pop(0)
+        info = ff[str(p)] = {}
+        try:
+            reductions = [S.reduce_mod(p) for S in spaces]
+        except BadPrime as exc:  # substitute the next prime
+            info["skipped"] = f"{type(exc).__name__}: {exc}"
+            plan.extend(itertools.islice(fallback, 1))
+            continue
+        yield p, reductions, info
+
+
 def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityVerdict]:
     """Two-prime certification pipeline for Q / Q(i) subspaces.
 
     Returns a final verdict, or None to let the caller continue with the
     numeric search (mixed or over-budget outcomes)."""
-    ev.setdefault("ff", {})
     certified = []
     used = []
-    plan = list(primes)
-    fallback = iter([p for p in _FALLBACK_PRIMES if p not in plan])
-    while plan:
-        p = plan.pop(0)
-        info: dict = {}
-        ev["ff"][str(p)] = info
-        try:
-            Lq = L.reduce_mod(p)
-            Lpq = Lp.reduce_mod(p)
-        except BadPrime as exc:  # substitute the next prime
-            info["skipped"] = f"{type(exc).__name__}: {exc}"
-            try:
-                plan.append(next(fallback))
-            except StopIteration:
-                pass
-            continue
+    for p, (Lq, Lpq), info in _prime_plan((L, Lp), primes,
+                                          ev.setdefault("ff", {})):
         used.append(p)
         try:
             coeffs, _T = _low_rank_over_own_field(Lq, Lpq, k, budget, info)
@@ -928,25 +915,11 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 
     certified = []
     used = []
-    plan = list(primes)
-    fallback = iter([p for p in _FALLBACK_PRIMES if p not in plan])
-    for_budget = modp.gaussian_binomial(n, k - 1, max(plan) if plan else 5)
+    for_budget = modp.gaussian_binomial(n, k - 1, max(primes, default=5))
     if for_budget > budget:
         raise BudgetExceeded(f"{for_budget} flags exceed the budget")
     ev["ff"] = {}
-    while plan:
-        p = plan.pop(0)
-        info: dict = {}
-        ev["ff"][str(p)] = info
-        try:
-            Lq = L.reduce_mod(p)
-        except BadPrime as exc:
-            info["skipped"] = f"{type(exc).__name__}: {exc}"
-            try:
-                plan.append(next(fallback))
-            except StopIteration:
-                pass
-            continue
+    for p, (Lq,), info in _prime_plan((L,), primes, ev["ff"]):
         used.append(p)
         info["points"] = modp.gaussian_binomial(n, k - 1, p)
         if info["points"] > budget:
@@ -993,23 +966,26 @@ def _separation_scan_ff(L: MatrixSubspace, k: int) -> Optional[Mat]:
     return Mat(f, n, k, [cols[j][i] for i in range(n) for j in range(k)])
 
 
+def _killing_elements(L: MatrixSubspace, Vrows) -> list:
+    """A basis of W = {A in L : A v = 0 for v in Vrows}."""
+    f = L.field
+    m, n = L.rows, L.cols
+    j = len(Vrows)
+    if L.dim == 0 or j == 0:
+        return list(L.basis)
+    X = Mat(f, n, j, [Vrows[c][r] for r in range(n) for c in range(j)])
+    prods = [B @ X for B in L.basis]
+    sysm = Mat(f, m * j, L.dim,
+               [P[i, c] for i in range(m) for c in range(j) for P in prods])
+    return [L.element(kv) for kv in sysm.kernel()]
+
+
 def _flag_violation(L: MatrixSubspace, Vrows) -> tuple:
     """Common kernel of W = {A in L : A v = 0 for v in Vrows} and whether it
     stays inside span(Vrows)."""
     f = L.field
     m, n = L.rows, L.cols
-    j = len(Vrows)
-    if L.dim == 0:
-        W_basis = []
-    elif j == 0:
-        W_basis = list(L.basis)
-    else:
-        Xcols = Mat(f, n, j, [Vrows[c][r] for r in range(n) for c in range(j)])
-        prods = [B @ Xcols for B in L.basis]
-        sysm = Mat(f, m * j, L.dim,
-                   [P[i, c] for i in range(m) for c in range(j)
-                    for P in prods])
-        W_basis = [L.element(kv) for kv in sysm.kernel()]
+    W_basis = _killing_elements(L, Vrows)
     if not W_basis:
         ck = [tuple(f.one() if i == t else f.zero() for i in range(n))
               for t in range(n)]
@@ -1075,20 +1051,8 @@ def _verify_separation_violation(L: MatrixSubspace, X: Mat) -> bool:
     f = L.field
     Vrows = [tuple(X[i, j] for i in range(n)) for j in range(k - 1)]
     m = L.rows
-    if L.dim == 0:
-        W_basis = []
-    elif k == 1:
-        W_basis = list(L.basis)
-    else:
-        Xp = Mat(f, n, k - 1,
-                 [X[i, j] for i in range(n) for j in range(k - 1)])
-        prods = [B @ Xp for B in L.basis]
-        sysm = Mat(f, m * (k - 1), L.dim,
-                   [P[i, c] for i in range(m) for c in range(k - 1)
-                    for P in prods])
-        W_basis = [L.element(kv) for kv in sysm.kernel()]
     xk = [X[i, k - 1] for i in range(n)]
-    for B in W_basis:
+    for B in _killing_elements(L, Vrows):
         out = [sum((B[i, j] * xk[j] for j in range(n) if xk[j] and B[i, j]),
                    f.zero()) for i in range(m)]
         if any(out):

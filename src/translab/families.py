@@ -62,6 +62,7 @@ __all__ = [
     "sl_tensor_full",
     "row_augmented_space",
     "pattern_space",
+    "random_subspace",
     "counterexample_certificate",
     "CounterexampleCertificate",
 ]
@@ -372,12 +373,16 @@ def _check_phi_block_params(n: int, k: int):
             f"got {(n, k)}")
 
 
-def _random_space(rng, field, d, nn) -> MatrixSubspace:
+def random_subspace(rng, field, d, m, n, bound) -> MatrixSubspace:
+    """A d-dimensional subspace of Mat(m, n) spanned by matrices with
+    entries drawn by rng.randint(-bound, bound), redrawn until the
+    generators are independent."""
     while True:
-        gens = [Mat(field, nn, nn,
-                    [field.from_int(rng.randint(-3, 3)) for _ in range(nn * nn)])
+        gens = [Mat(field, m, n,
+                    [field.from_int(rng.randint(-bound, bound))
+                     for _ in range(m * n)])
                 for _ in range(d)]
-        L = MatrixSubspace.from_generators(gens, rows=nn, cols=nn, field=field)
+        L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
         if L.dim == d:
             return L
 
@@ -415,7 +420,7 @@ def _phi_block_components(n: int, k: int, field: Field):
     r = n * n - dim_n
     for attempt in range(64):
         rng = random.Random(f"phi-block-{n}-{k}-{attempt}")
-        N = _random_space(rng, field, dim_n, n)
+        N = random_subspace(rng, field, dim_n, n, n, 3)
         V = _random_subspace_of(rng, N, r)
         space = _assemble_phi_space(n, field, N, V)
         perp = space.preannihilator()

@@ -35,11 +35,21 @@ kernel of M1, so one elimination of M1 per run of equal prefixes leaves
 each point an m-column rank instead of an m k-column one.  The identity is
 exact, so every rank is the one of the matrix itself, and with it the
 scan's answer.
+
+The projective scans (min_rank_scan, rank_extremes_scan) also run over
+GF(p^2) = GF(p)[w], w^2 = omega.  An element a + b w is coded a*p + b,
+its index in QuadExtDomain.elements().  A matrix X + w Y in Mat(m, n)
+acts on GF(p)^(2n) as the real form [[X, omega Y], [Y, X]], whose rank
+over GF(p) is twice the rank of X + w Y over GF(p^2), so the ranks come
+from batched_rank_mod_p.  Blocks then hold about a chunk of real-form
+entries rather than a chunk of points: each real form has 4 m n entries,
+and smaller blocks keep the scan's peak memory low.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,7 +65,6 @@ __all__ = [
     "surjectivity_scan",
     "separation_scan",
     "rank_extremes_scan",
-    "quad_ext_rank_extremes_scan",
     "rank_one_pair_scan",
 ]
 
@@ -291,11 +300,54 @@ def _merge_blocks(blocks: Iterator[np.ndarray],
 
 # ------------------------------------------------------------------- scans
 
+def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
+                   omega: int | None):
+    """(coefficient block, ranks) pairs over the projective combinations
+    of the basis matrices, in the order of iter_projective_blocks.
+
+    basis: (D, m, n) array of element codes in [0, q).  With omega None, q
+    is prime and blocks hold chunk points.  Otherwise q = p^2, w^2 = omega,
+    the ranks come from the real forms (see the module docstring) and the
+    leading coordinate of each combination is one, code p.
+    """
+    D, m, n = basis.shape
+    if omega is None:
+        p = q
+        flat = basis.reshape(D, m * n) % p
+    else:
+        p = math.isqrt(q)
+        X, Y = basis // p, basis % p
+        # rows d and D + d: the real forms of B_d and of w B_d
+        # = omega Y_d + w X_d
+        gen = np.empty((2 * D, 2 * m, 2 * n), dtype=np.int64)
+        for row, (re, im) in enumerate([(X, Y), (omega * Y % p, X)]):
+            blk = gen[row * D:(row + 1) * D]
+            blk[:, :m, :n] = re
+            blk[:, :m, n:] = omega * im % p
+            blk[:, m:, :n] = im
+            blk[:, m:, n:] = re
+        m, n = 2 * m, 2 * n
+        flat = gen.reshape(2 * D, m * n)
+        chunk = max(1, chunk // (m * n))
+    flat = flat.astype(np.int32)
+    inv = inverse_table(p)
+    for codes in iter_projective_blocks(D, q, chunk):
+        coords = codes
+        if omega is not None:
+            codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
+            coords = np.concatenate([codes // p, codes % p], axis=1)
+        mats = _mod_matmul(coords, flat, p).reshape(-1, m, n)
+        ranks = batched_rank_mod_p(mats, p, inv)
+        yield codes, ranks if omega is None else ranks // 2
+
+
 def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
-                  threshold: int | None = None):
+                  threshold: int | None = None, omega: int | None = None):
     """Scan all projective combinations of the basis matrices.
 
-    basis: (D, m, n) integer array over GF(q), q prime.
+    basis: (D, m, n) array of element codes over GF(q): q prime, or
+    q = p^2 with w^2 = omega, codes as in the module docstring.
+    Coefficients come back as codes.
 
     With threshold=None, returns (min_rank, coeffs, points) for the first
     element attaining the global minimum rank in enumeration order, after
@@ -303,21 +355,19 @@ def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
     point can beat).  With a threshold, returns as soon as the first element
     of rank <= threshold is found; min_rank is then that element's rank and
     coeffs its coefficients, or (None, None, points) if none exists.
+    points counts whole blocks, except at a threshold hit over GF(p^2),
+    where it is the hit's position in the enumeration.
     """
-    D, m, n = basis.shape
-    flat = (basis.reshape(D, m * n) % q).astype(np.int32)
-    inv = inverse_table(q)
-    best_rank: Optional[int] = None
-    best_coeffs: Optional[np.ndarray] = None
+    best_rank = best_coeffs = None
     points = 0
-    for block in iter_projective_blocks(D, q, chunk):
-        mats = _mod_matmul(block, flat, q)
-        ranks = batched_rank_mod_p(mats.reshape(-1, m, n), q, inv)
+    for block, ranks in _ranked_blocks(basis, q, chunk, omega):
         points += len(block)
         if threshold is not None:
             hit = np.nonzero(ranks <= threshold)[0]
             if hit.size:
                 i = int(hit[0])
+                if omega is not None:
+                    points += i + 1 - len(block)
                 return int(ranks[i]), block[i].copy(), points
             continue
         local = int(ranks.min())
@@ -327,8 +377,6 @@ def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
             best_coeffs = block[i].copy()
             if best_rank == 1:
                 return best_rank, best_coeffs, points
-    if threshold is not None:
-        return None, None, points
     return best_rank, best_coeffs, points
 
 
@@ -552,79 +600,21 @@ def separation_scan(basis: np.ndarray, k: int,
     return None
 
 
-def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK):
+def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
+                       omega: int | None = None):
     """Exhaustive min nonzero rank and max singular rank over GF(q).
 
-    basis: (D, n, n).  Returns (r, r_coeffs, s, s_coeffs, points); s is None
-    when every nonzero element is invertible.  Witnesses are the first
-    attaining elements in enumeration order.
+    basis: (D, n, n) codes, q and omega as in min_rank_scan.  Returns
+    (r, r_coeffs, s, s_coeffs, points); s is None when every nonzero
+    element is invertible.  Witnesses are the first attaining elements in
+    enumeration order.
     """
     D, m, n = basis.shape
     if m != n:
         raise ValueError("rank extremes need a square ambient")
-    flat = (basis.reshape(D, m * n) % q).astype(np.int32)
-    inv = inverse_table(q)
-
-    def ranked():
-        for block in iter_projective_blocks(D, q, chunk):
-            mats = _mod_matmul(block, flat, q)
-            yield block, batched_rank_mod_p(mats.reshape(-1, m, n), q, inv)
-
-    return _first_extremes(ranked(), n)
-
-
-def quad_ext_rank_extremes_scan(basis: np.ndarray, p: int, omega: int,
-                                chunk: int = DEFAULT_CHUNK):
-    """rank_extremes_scan over GF(p^2) = GF(p)[w], w^2 = omega.
-
-    basis: (D, 2, n, n) with basis[d, 0] + w basis[d, 1] the d-th matrix.
-    An element a + b w of GF(p^2) is coded a*p + b, its index in
-    QuadExtDomain.elements(); coefficient vectors are enumerated in the
-    projective order of iter_projective_blocks over these codes, with the
-    leading coordinate one (code p).  A matrix X + w Y acts on GF(p)^(2n)
-    as [[X, omega Y], [Y, X]], whose rank over GF(p) is twice the rank of
-    X + w Y over GF(p^2), so the ranks come from batched_rank_mod_p.
-    A block holds about chunk matrix entries rather than chunk points: the
-    real forms have 4 n^2 entries each, and smaller blocks keep the scan's
-    peak memory low.
-    Returns (r, r_codes, s, s_codes, points) as rank_extremes_scan does.
-    """
-    D, two, m, n = basis.shape
-    if two != 2 or m != n:
-        raise ValueError("expected a (D, 2, n, n) basis")
-    X, Y = basis[:, 0] % p, basis[:, 1] % p
-    # rows d and D + d: the real-form blocks of B_d and of w B_d
-    # = omega Y_d + w X_d
-    gen = np.empty((2 * D, 2 * n, 2 * n), dtype=np.int64)
-    for row, (re, im) in enumerate([(X, Y), (omega * Y % p, X)]):
-        blk = gen[row * D:(row + 1) * D]
-        blk[:, :n, :n] = re
-        blk[:, :n, n:] = omega * im % p
-        blk[:, n:, :n] = im
-        blk[:, n:, n:] = re
-    flat = gen.reshape(2 * D, 4 * n * n).astype(np.int32)
-    inv = inverse_table(p)
-
-    def ranked():
-        for codes in iter_projective_blocks(D, p * p,
-                                            max(1, chunk // (4 * n * n))):
-            codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
-            ab = np.concatenate([codes // p, codes % p], axis=1)
-            mats = _mod_matmul(ab, flat, p).reshape(-1, 2 * n, 2 * n)
-            yield codes, batched_rank_mod_p(mats, p, inv) // 2
-
-    return _first_extremes(ranked(), n)
-
-
-def _first_extremes(ranked, n: int):
-    """Fold (coefficient block, ranks) pairs of n x n matrices into
-    (r, r_coeffs, s, s_coeffs, points), witnesses first in block order."""
-    r = None
-    r_coeffs = None
-    s = None
-    s_coeffs = None
+    r = r_coeffs = s = s_coeffs = None
     points = 0
-    for block, ranks in ranked:
+    for block, ranks in _ranked_blocks(basis, q, chunk, omega):
         points += len(block)
         local_min = int(ranks.min())
         if r is None or local_min < r:

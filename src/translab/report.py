@@ -28,6 +28,7 @@ from .families import (
     minimal_k_transitive_obstruction,
     pattern_space,
     phi_block_space,
+    random_subspace,
     phi_eigen_structure,
     rank_annihilator_space,
     row_augmented_space,
@@ -265,14 +266,14 @@ def report_rows() -> list:
     rng = random.Random(20240817)
     ok_ff = 0
     for _ in range(10):
-        Lr = _random_subspace(rng, GF(5), 2, 2, 2)
-        Mr = _random_subspace(rng, GF(5), 2, 3, 3)
+        Lr = random_subspace(rng, GF(5), 2, 2, 2, 4)
+        Mr = random_subspace(rng, GF(5), 2, 3, 3, 4)
         if _dual_tensor_identity_holds(Lr, Mr):
             ok_ff += 1
     ok_q = 0
     for _ in range(3):
-        Lr = _random_subspace(rng, QQ, 2, 2, 2)
-        Mr = _random_subspace(rng, QQ, 2, 3, 3)
+        Lr = random_subspace(rng, QQ, 2, 2, 2, 4)
+        Mr = random_subspace(rng, QQ, 2, 3, 3, 4)
         if _dual_tensor_identity_holds(Lr, Mr):
             ok_q += 1
     rows.append(_row(
@@ -383,18 +384,6 @@ def report_rows() -> list:
         agree, 16, FF5))
 
     return rows
-
-
-def _random_subspace(rng, field, d, m, n) -> MatrixSubspace:
-    while True:
-        gens = []
-        for _ in range(d):
-            gens.append(Mat(field, m, n,
-                            [field.from_int(rng.randrange(-4, 5))
-                             for _ in range(m * n)]))
-        L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
-        if L.dim == d:
-            return L
 
 
 def _dual_tensor_identity_holds(L: MatrixSubspace, M: MatrixSubspace) -> bool:

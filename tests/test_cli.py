@@ -7,6 +7,10 @@ import sys
 import pytest
 
 from translab.cli import run
+from translab.fields import GF
+from translab.matrices import Mat
+from translab.serialize import dumps, subspace_to_obj
+from translab.subspace import MatrixSubspace
 
 
 def invoke(args, capsys):
@@ -144,3 +148,73 @@ def test_cli_verdict_always_prints_soundness(capsys):
     assert "GF(5)" in obj["soundness"]
     # an FF-only certification never claims anything beyond its fields
     assert "closure" not in obj["soundness"]
+
+
+_GF9_DISPROOF = """\
+{
+  "evidence": {
+    "budget": 100000000,
+    "dim": 4,
+    "dim_perp": 5,
+    "points": 4084,
+    "route": "pre-annihilator",
+    "route_choice": {
+      "pre-annihilator": 7381
+    },
+    "seed": 0,
+    "steps": [
+      "exhaustive pre-annihilator route over own field"
+    ],
+    "strategy": "auto",
+    "witness_field": "GF(3^2)"
+  },
+  "k": 1,
+  "kind": "transitivity-verdict",
+  "primes": [],
+  "soundness": "witness over GF(3^2); valid for that field only",
+  "status": "disproved",
+  "witness": {
+    "coefficients": [
+      "1+0w mod 3^2",
+      "1+1w mod 3^2",
+      "1+1w mod 3^2",
+      "0+2w mod 3^2",
+      "1+2w mod 3^2"
+    ],
+    "matrix": {
+      "cols": 3,
+      "entries": [
+        "1+0w mod 3^2",
+        "1+1w mod 3^2",
+        "1+1w mod 3^2",
+        "0+2w mod 3^2",
+        "1+2w mod 3^2",
+        "1+2w mod 3^2",
+        "1+1w mod 3^2",
+        "0+2w mod 3^2",
+        "0+2w mod 3^2"
+      ],
+      "field": "GF(3^2)",
+      "rows": 3
+    },
+    "rank_bound": 1
+  }
+}
+"""
+
+
+def test_check_gf9_disproof_mid_block(tmp_path, capsys):
+    # the pre-annihilator scan over GF(9) hits at point 4084, inside a
+    # block; "points" counts the enumeration up to the hit
+    F = GF(9)
+    E = F.elements()
+    codes = [[4, 0, 0, 1, 3, 1, 0, 3, 0], [4, 4, 4, 3, 1, 4, 4, 1, 0],
+             [0, 0, 4, 3, 4, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0, 1, 0, 3]]
+    L = MatrixSubspace.from_generators(
+        [Mat(F, 3, 3, [E[c] for c in row]) for row in codes],
+        rows=3, cols=3, field=F)
+    path = tmp_path / "gf9.json"
+    path.write_text(dumps(subspace_to_obj(L)))
+    code, out, _ = invoke(["check", str(path), "-k", "1"], capsys)
+    assert code == 0
+    assert out == _GF9_DISPROOF

@@ -30,8 +30,8 @@ from translab.deciders import (
     transitivity_disproof_from_witness,
     verify_rank_spanning,
 )
-from translab.deciders import (_choose_final_vector, _flag_violation,
-                               _projective_tuples_generic,
+from translab.deciders import (_choose_final_vector, _ff_low_rank_threshold,
+                               _flag_violation, _projective_tuples_generic,
                                _separation_scan_ff)
 from translab.errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
 from translab import modp
@@ -715,6 +715,66 @@ def test_rank_extremes_over_quadratic_extension_match_reference():
         got = (ex.min_nonzero_rank, ex.min_witness, ex.max_singular_rank,
                ex.max_witness, ex.points)
         assert got == _rank_extremes_reference(L), (L.field.tag, L.dim)
+
+
+def _min_rank_reference(V):
+    # one element at a time, in projective order, stopping at rank 1
+    best = None
+    for coeffs in _projective_tuples_generic(V.field, V.dim):
+        T = V.element(coeffs)
+        rk = T.rank()
+        if best is None or rk < best[0]:
+            best = (rk, tuple(coeffs), T)
+            if rk == 1:
+                break
+    return best
+
+
+def _threshold_reference(V, k):
+    # the first element of rank <= k, counting the points visited
+    pts = 0
+    for coeffs in _projective_tuples_generic(V.field, V.dim):
+        pts += 1
+        T = V.element(coeffs)
+        if T.rank() <= k:
+            return tuple(coeffs), T, pts
+    return None, None, pts
+
+
+def _gf9_disproof_space():
+    # its pre-annihilator (dim 5, 7381 points) has its first rank-1
+    # element at point 4084, inside the scan's eighth block (points
+    # 3551-4460)
+    F = GF(9)
+    E = F.elements()
+    codes = [[4, 0, 0, 1, 3, 1, 0, 3, 0], [4, 4, 4, 3, 1, 4, 4, 1, 0],
+             [0, 0, 4, 3, 4, 0, 0, 0, 0], [3, 0, 0, 0, 0, 0, 1, 0, 3]]
+    gens = [Mat(F, 3, 3, [E[c] for c in row]) for row in codes]
+    return MatrixSubspace.from_generators(gens, rows=3, cols=3, field=F)
+
+
+def test_min_rank_over_quadratic_extension_match_reference():
+    rng = random.Random(12)
+    spaces = [_gf9_disproof_space().preannihilator()]
+    while len(spaces) < 40:
+        F = GF(rng.choice([9, 25, 49]))
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        elems = F.elements()
+        gens = [Mat(F, m, n, [rng.choice(elems) if rng.random() < 0.7
+                              else F.zero() for _ in range(m * n)])
+                for _ in range(rng.randint(1, 3))]
+        L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=F)
+        if L.dim and F.size ** L.dim <= 3000:
+            spaces.append(L)
+    assert any(L.rows != L.cols for L in spaces)
+    for L in spaces:
+        r, w = min_rank_ff_exhaustive(L)
+        assert (r, w.coefficients, w.matrix) == _min_rank_reference(L), \
+            (L.field.tag, L.rows, L.cols, L.dim)
+        for k in range(1, min(L.rows, L.cols) + 1):
+            got = _ff_low_rank_threshold(L, k, 10**8)
+            assert got == _threshold_reference(L, k), (L.field.tag, k)
+    assert _ff_low_rank_threshold(spaces[0], 1, 10**8)[2] == 4084
 
 
 # ----------------------------------------------------- supplied witnesses

@@ -1,5 +1,6 @@
 """The reproduction report: structure, determinism, and the CLI gate."""
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,14 @@ def test_report_all_rows_pass(report):
         assert set(row) == {"id", "claim", "computed", "expected", "ok",
                             "soundness"}
         assert row["ok"]
+
+
+def test_report_bytes_are_pinned(report):
+    # the sha256 of `translab report paper` stdout; a change that keeps
+    # every verdict and witness keeps these bytes
+    digest = hashlib.sha256(dumps(report).encode()).hexdigest()
+    assert digest == ("b0189f6ea55314ef5c0167924e23c4ee"
+                      "58c35a0cae52b6b2b2b96381c52d8b9b")
 
 
 def test_report_is_deterministic_and_serializable():
