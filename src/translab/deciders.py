@@ -211,7 +211,8 @@ def _require(cond: bool, what: str) -> None:
 
 
 def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
-    assert isinstance(L.field, PrimeFieldDomain)
+    if not isinstance(L.field, PrimeFieldDomain):
+        raise ShapeMismatch(f"expected a subspace over GF(p), got {L.field.tag}")
     return np.array([[x.value for x in B.entries()] for B in L.basis],
                     dtype=np.int64).reshape(L.dim, L.rows, L.cols)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ParameterOutOfRange, ShapeMismatch
+from .errors import ParameterOutOfRange, ShapeMismatch, VerificationFailed
 from .fields import Field, QQ
 from .matrices import Mat
 from .polynomials import (
@@ -552,7 +552,8 @@ def phi_eigen_structure(phi: LinearMapTable) -> dict:
                     row.append(const)
             sys_rows.append(row)
         kern = quotient_kernel(sys_rows, f, QQ)
-        assert kern, "characteristic factor without eigenvector"
+        if not kern:
+            raise VerificationFailed("characteristic factor without eigenvector")
         for v in kern:
             # reshape to the block size and check the determinant residue
             det = _quotient_det2(v, nb, f)

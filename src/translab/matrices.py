@@ -4,14 +4,22 @@ rank / rref / kernel / solve and characteristic reduction.
 Matrices are immutable; entries are stored row-major.  All elimination is
 exact (no floating point) and deterministic: pivots are chosen leftmost
 column first, first nonzero row within the column.
+
+Over Q the elimination runs on Python ints (fraction-free, cf. Bareiss,
+Math. Comp. 22 (1968)): rows are cleared of denominators once, an update
+is p*row_i - f*row_r over the gcd of the result, and pivot rows are divided
+by their pivots at the end.  Each integer row is a nonzero multiple of the
+Fraction loop's row at the same step, so the zero patterns, the pivots and
+the canonical RREF are identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadPrime, ShapeMismatch
+from .errors import BadPrime, ShapeMismatch, VerificationFailed
 from .fields import (
     GF,
     QI,
@@ -252,19 +260,17 @@ class Mat:
     # ----------------------------------------------------------- elimination
     def rref(self) -> tuple["Mat", tuple]:
         """Reduced row echelon form and the strictly increasing pivot columns."""
-        R, pivots = _rref_rows([list(self.row(i)) for i in range(self.rows)],
-                               self.field)
+        R, pivots = _rref_rows(self.tolists(), self.field)
         return Mat(self.field, self.rows, self.cols,
                    [x for r in R for x in r]), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref_rows(self.tolists(), self.field)[1])
 
     def kernel(self) -> list:
         """Basis of the right null space as coordinate tuples, in
         free-variable unit-assignment order (free columns ascending)."""
-        R, pivots = _rref_rows([list(self.row(i)) for i in range(self.rows)],
-                               self.field)
+        R, pivots = _rref_rows(self.tolists(), self.field)
         return _kernel_from_rref(R, pivots, self.cols, self.field)
 
     def solve(self, b: Sequence) -> Optional[tuple]:
@@ -280,7 +286,8 @@ class Mat:
         x = [z] * self.cols
         for r, pc in enumerate(pivots):
             x[pc] = R[r][self.cols]
-        assert _matvec(self, x) == bvals, "solve postcondition failed"
+        if _matvec(self, x) != bvals:
+            raise VerificationFailed("solve postcondition failed")
         return tuple(x)
 
     def det(self) -> Scalar:
@@ -351,31 +358,39 @@ def _matvec(A: Mat, x: Sequence[Scalar]) -> list:
     return out
 
 
+def _pivot_steps(rows: list, ncols: int):
+    """Yield (r, c) for each pivot of an elimination over ``rows``: c is
+    the leftmost column with a nonzero entry at or below row r, and the
+    first such row has just been swapped into row r.  The caller clears
+    column c from the other rows before asking for the next pivot."""
+    r = 0
+    for c in range(ncols):
+        if r >= len(rows):
+            return
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                rows[r], rows[i] = rows[i], rows[r]
+                yield r, c
+                r += 1
+                break
+
+
 def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
     """In-place reduced row echelon over a list of row lists.
 
     Deterministic: leftmost pivot column, first nonzero row at or below the
     working row; pivot scaled to one; eliminates above and below.  Skips
-    zero entries, which keeps sparse coordinate matrices fast.
+    zero entries, which keeps sparse coordinate matrices fast.  Over Q the
+    same elimination runs on integer rows (see the module docstring).
     """
     if not rows:
         return rows, []
-    nrows, ncols = len(rows), len(rows[0])
+    if field == QQ:
+        return _rref_rows_q(rows)
+    ncols = len(rows[0])
     one = field.one()
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+    for r, c in _pivot_steps(rows, ncols):
         prow = rows[r]
         p = prow[c]
         if p != one:
@@ -384,17 +399,41 @@ def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
                 if prow[j]:
                     prow[j] = pinv * prow[j]
         support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
+        for i, irow in enumerate(rows):
+            f = irow[c]
+            if not f or i == r:
                 continue
-            f = rows[i][c]
-            if not f:
-                continue
-            irow = rows[i]
             for j in support:
                 irow[j] = irow[j] - f * prow[j]
         pivots.append(c)
-        r += 1
+    return rows, pivots
+
+
+def _rref_rows_q(rows: list) -> tuple[list, list]:
+    """_rref_rows over Q, run on integer multiples of the rows."""
+    ints = []
+    for row in rows:
+        den = lcm(*{x.denominator for x in row})
+        ints.append([x.numerator * (den // x.denominator) for x in row]
+                    if den != 1 else [x.numerator for x in row])
+    pivots = []
+    for r, c in _pivot_steps(ints, len(ints[0])):
+        prow = ints[r]
+        p = prow[c]
+        for i, irow in enumerate(ints):
+            f = irow[c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            pg, fg = p // g, f // g
+            new = [pg * a - fg * b for a, b in zip(irow, prow)]
+            g = gcd(*new)
+            ints[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+    zero = Fraction(0)
+    for i, row in enumerate(ints):
+        p = row[pivots[i]] if i < len(pivots) else 1
+        rows[i] = [Fraction(x, p) if x else zero for x in row]
     return rows, pivots
 
 

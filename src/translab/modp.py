@@ -209,7 +209,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Gaussian binomial ({n} {k})_{q} is not an integer")
     return num // den
 
 

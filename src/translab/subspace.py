@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import NotIdempotent, ShapeMismatch, SingularTransform
+from .errors import (NotIdempotent, ShapeMismatch, SingularTransform,
+                     VerificationFailed)
 from .fields import Field
-from .matrices import Mat, _coerce, reduce_mod as _reduce_mat
+from .matrices import (Mat, _coerce, _kernel_from_rref, _rref_rows,
+                       reduce_mod as _reduce_mat)
 
 __all__ = ["MatrixSubspace", "vec", "unvec"]
 
@@ -203,15 +205,26 @@ class MatrixSubspace:
         """All T in Mat(cols, rows) with Tr(A @ T) = 0 for every A here.
 
         dim(result) = rows*cols - dim(self).
+
+        One elimination: row i of the pairing matrix is vec(B_i^T), which
+        pairs with vec(T) to Tr(B_i @ T).  Take its kernel with the columns
+        reversed; there the vector of free column j has a 1 at j, zeros at
+        the other free columns and its other nonzeros at pivot columns left
+        of j.  Reversing each vector and their order gives leading 1s at
+        ascending free positions, zeros at the other leading positions and
+        all other nonzeros to the right: a reduced row echelon basis.  The
+        RREF of a subspace is unique, so this is the basis from_generators
+        would build, with the leading positions as its pivots.
         """
         m, n = self.rows, self.cols
-        if self.is_zero():
-            return MatrixSubspace.full_space(self.field, n, m)
-        pairing = Mat(self.field, self.dim, n * m,
-                      [x for B in self.basis for x in vec(B.transpose())])
-        gens = [unvec(self.field, n, m, kv) for kv in pairing.kernel()]
-        return MatrixSubspace.from_generators(
-            gens, rows=n, cols=m, field=self.field)
+        N = n * m
+        R, piv = _rref_rows([list(vec(B.transpose()))[::-1] for B in self.basis],
+                            self.field)
+        kern = _kernel_from_rref(R, piv, N, self.field)[::-1]
+        taken = set(piv)
+        return MatrixSubspace(
+            self.field, n, m, [unvec(self.field, n, m, kv[::-1]) for kv in kern],
+            [k for k in range(N) if N - 1 - k not in taken])
 
     def tensor(self, other: "MatrixSubspace") -> "MatrixSubspace":
         """Span of Kronecker products of basis pairs; block convention:
@@ -295,7 +308,8 @@ class MatrixSubspace:
             cols = []
             for j in range(rp):
                 x = CQ.solve(W.column(j))
-                assert x is not None, "compressed column left range(Q)"
+                if x is None:
+                    raise VerificationFailed("compressed column left range(Q)")
                 cols.append(x)
             gens.append(Mat(self.field, rq, rp,
                             [cols[j][i] for i in range(rq) for j in range(rp)]))

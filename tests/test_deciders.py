@@ -1,5 +1,6 @@
 """The decision engine: verdicts, witnesses, and soundness labels."""
 
+import ast
 import itertools
 import os
 import random
@@ -644,6 +645,44 @@ def test_failing_input_checks_raise_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_solve_postcondition_raises_under_optimize():
+    # Mat.solve re-checks A x = b exactly; a broken product must make it
+    # raise under -O instead of returning a wrong solution
+    code = (
+        "import translab.matrices as M\n"
+        "from translab.errors import VerificationFailed\n"
+        "from translab.fields import QQ\n"
+        "assert False, 'asserts are live'\n"
+        "M._matvec = lambda A, x: [None] * A.rows\n"
+        "try:\n"
+        "    x = M.Mat.identity(QQ, 2).solve([1, 2])\n"
+        "except VerificationFailed:\n"
+        "    print('raised')\n"
+        "else:\n"
+        "    print('returned', x)\n"
+    )
+    src = os.path.dirname(os.path.dirname(translab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the package may
+    # be one
+    pkg = os.path.dirname(translab.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found
 
 
 # ----------------------------------------------------------- rank spanning

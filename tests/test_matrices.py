@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from translab.errors import BadPrime, ShapeMismatch
 from translab.fields import GF, QI, QQ, GaussianRational
-from translab.matrices import Mat, reduce_mod
+from translab.matrices import Mat, _rref_rows, reduce_mod
 
 
 def brute_force_det(A):
@@ -229,3 +229,71 @@ def test_matmul_shape_errors():
         Mat.identity(QQ, 2) @ Mat.identity(QQ, 3)
     with pytest.raises(ShapeMismatch):
         Mat.identity(QQ, 2) + Mat.identity(GF(5), 2)
+
+
+# ------------------------------------------------- integer elimination over Q
+
+def fraction_rref_rows(rows):
+    """The Gauss-Jordan loop on Fraction entries that _rref_rows ran over Q
+    before its integer path: leftmost pivot column, first nonzero row at or
+    below, pivot row scaled to one, eliminate above and below."""
+    if not rows:
+        return rows, []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+_q_entry = st.builds(
+    Fraction, st.integers(-30, 30),
+    st.sampled_from([1, 1, 1, 2, 3, 12, 10**9 + 7, 2**61 - 1, 10**30]))
+
+
+@st.composite
+def _q_rows(draw):
+    """Row lists over Q: 0 x n, n x 0, wide and tall shapes; half of them
+    built from k base rows, so of rank at most k; some rows zeroed."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entries = st.lists(_q_entry, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        base = [draw(entries) for _ in range(k)]
+        rows = []
+        for _ in range(m):
+            coeffs = draw(st.lists(_q_entry, min_size=k, max_size=k))
+            rows.append([sum((c * b[j] for c, b in zip(coeffs, base)),
+                             Fraction(0)) for j in range(n)])
+    else:
+        rows = [draw(entries) for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        rows[i] = [Fraction(0)] * n
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_rows())
+def test_rref_rows_over_q_matches_fraction_loop(rows):
+    # the integer path must give the Fraction loop's RREF and pivots
+    want = fraction_rref_rows([list(r) for r in rows])
+    got = _rref_rows([list(r) for r in rows], QQ)
+    assert got == want
+    assert all(type(x) is Fraction for r in got[0] for x in r)
+    if rows:
+        A = Mat(QQ, len(rows), len(rows[0]), [x for r in rows for x in r])
+        assert A.rank() == len(want[1])

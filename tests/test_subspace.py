@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translab.errors import (BadPrime, NotIdempotent, ShapeMismatch,
                              SingularTransform)
@@ -12,7 +13,7 @@ from translab.families import (
     toeplitz_space,
     trace_zero,
 )
-from translab.fields import GF, QI, QQ
+from translab.fields import GF, QI, QQ, GaussianRational
 from translab.matrices import Mat
 from translab.subspace import MatrixSubspace, vec
 
@@ -112,6 +113,55 @@ def test_duality_involution_and_dimension():
             Lp = L.preannihilator()
             assert L.dim + Lp.dim == m * n
             assert Lp.preannihilator() == L
+
+
+def preannihilator_reference(L):
+    """The pre-annihilator by two eliminations: the kernel of the pairing
+    matrix, then canonicalized by from_generators."""
+    m, n = L.rows, L.cols
+    if L.is_zero():
+        return MatrixSubspace.full_space(L.field, n, m)
+    pairing = Mat(L.field, L.dim, n * m,
+                  [x for B in L.basis for x in vec(B.transpose())])
+    gens = [Mat(L.field, n, m, kv) for kv in pairing.kernel()]
+    return MatrixSubspace.from_generators(gens, rows=n, cols=m, field=L.field)
+
+
+_small_q = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 5]))
+
+
+@st.composite
+def _any_field_space(draw):
+    """A zero, full or spanned subspace of Mat(m, n), m and n in 1..4, over
+    Q, Q(i), GF(2), GF(5) or GF(9)."""
+    field = draw(st.sampled_from([QQ, QI, GF(2), GF(5), GF(9)]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        return MatrixSubspace.zero_space(field, m, n)
+    if kind == "full":
+        return MatrixSubspace.full_space(field, m, n)
+    if field == QQ:
+        elem = _small_q
+    elif field == QI:
+        elem = st.builds(GaussianRational, _small_q, _small_q)
+    else:
+        elem = st.sampled_from(list(field.elements()))
+    d = draw(st.integers(1, m * n))
+    gens = [Mat(field, m, n, draw(st.lists(elem, min_size=m * n,
+                                           max_size=m * n)))
+            for _ in range(d)]
+    return MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_field_space())
+def test_preannihilator_matches_two_elimination_reference(L):
+    want = preannihilator_reference(L)
+    got = L.preannihilator()
+    assert got == want
+    assert got._pivots == want._pivots
+    assert (got.rows, got.cols) == (L.cols, L.rows)
 
 
 def test_pairing_convention_worked_example():
