@@ -81,11 +81,10 @@ class MatrixSubspace:
         for A in mats:
             if A.field != f or A.shape != (m, n):
                 raise ShapeMismatch("generators must share shape and field")
-        coord = Mat(f, len(mats), m * n, [x for A in mats for x in vec(A)])
-        R, pivots = coord.rref()
+        R, pivots = _rref_rows([list(vec(A)) for A in mats], f)
         if strict and len(pivots) < len(mats):
             raise ShapeMismatch("dependent generator list rejected (strict)")
-        basis = [unvec(f, m, n, R.row(i)) for i in range(len(pivots))]
+        basis = [unvec(f, m, n, R[i]) for i in range(len(pivots))]
         return cls(f, m, n, basis, pivots)
 
     @classmethod
