@@ -286,7 +286,7 @@ def _q_rows(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_q_rows())
 def test_rref_rows_over_q_matches_fraction_loop(rows):
     # the integer path must give the Fraction loop's RREF and pivots

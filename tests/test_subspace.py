@@ -154,7 +154,7 @@ def _any_field_space(draw):
     return MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_any_field_space())
 def test_preannihilator_matches_two_elimination_reference(L):
     want = preannihilator_reference(L)
