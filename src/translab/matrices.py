@@ -16,6 +16,7 @@ the canonical RREF are identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -486,23 +487,24 @@ def reduce_mod(A: Mat, q: int) -> Mat:
     p = target.characteristic
     if A.field == QQ:
         if isinstance(target, PrimeFieldDomain):
-            return Mat(target, A.rows, A.cols,
-                       [_red_frac(x, p, target) for x in A.entries()])
-        ent = [_red_frac_fp2(x, target) for x in A.entries()]
-        return Mat(target, A.rows, A.cols, ent)
+            shared = _residue_elements(target)
+            red = [_red_frac(x, p) for x in A.entries()]
+            return Mat(target, A.rows, A.cols, [shared[r] for r in red]
+                       if shared else [FpElement(r, p) for r in red])
+        return Mat(target, A.rows, A.cols, [_red_frac_fp2(x, target) for x in A.entries()])
     if A.field == QI:
         if isinstance(target, PrimeFieldDomain):
             if p == 2:
-                ival = FpElement(1, 2)  # 1*1 = 1 = -1 mod 2
+                ival = 1  # 1*1 = 1 = -1 mod 2
             elif p % 4 == 1:
                 from .fields import _sqrt_mod_p
 
-                ival = FpElement(_sqrt_mod_p(p - 1, p), p)
+                ival = _sqrt_mod_p(p - 1, p)
             else:
                 raise BadPrime(
                     f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
             return Mat(target, A.rows, A.cols,
-                       [_red_frac(x.re, p, target) + ival * _red_frac(x.im, p, target)
+                       [FpElement(_red_frac(x.re, p) + ival * _red_frac(x.im, p), p)
                         for x in A.entries()])
         ival2 = target.sqrt_of_minus_one()
         return Mat(target, A.rows, A.cols,
@@ -511,14 +513,17 @@ def reduce_mod(A: Mat, q: int) -> Mat:
     raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
 
 
-def _red_frac(x: Fraction, p: int, target) -> FpElement:
+@lru_cache(maxsize=None)
+def _residue_elements(target: PrimeFieldDomain) -> tuple:
+    """GF(p)'s elements by residue (none for p > 4096), shared by reductions."""
+    return tuple(target.elements()) if target.p <= 4096 else ()
+
+
+def _red_frac(x: Fraction, p: int) -> int:
     if x.denominator % p == 0:
         raise BadPrime(f"denominator of {x} is divisible by {p}")
-    return FpElement(x.numerator * pow(x.denominator, -1, p), p)
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _red_frac_fp2(x: Fraction, target: QuadExtDomain) -> Fp2Element:
-    p = target.p
-    if x.denominator % p == 0:
-        raise BadPrime(f"denominator of {x} is divisible by {p}")
-    return target.from_pair(x.numerator * pow(x.denominator, -1, p), 0)
+    return target.from_pair(_red_frac(x, target.p), 0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from translab.errors import BadPrime, ShapeMismatch
-from translab.fields import GF, QI, QQ, GaussianRational
+from translab.fields import GF, QI, QQ, FpElement, GaussianRational
 from translab.matrices import Mat, _rref_rows, reduce_mod
 
 
@@ -222,6 +222,28 @@ def test_reduce_mod_rank_preservation():
         except BadPrime:
             continue
         assert Ap.rank() == A.rank()
+
+
+@pytest.mark.parametrize("p", [5, 43, 8191])
+def test_reduce_mod_matches_fp_arithmetic(p):
+    # each entry a/b reduces to FpElement(a) / FpElement(b); below the
+    # shared-residue bound every residue is one element object
+    rng = random.Random(p)
+    A = Mat(QQ, 3, 4, [Fraction(rng.randint(-60, 60),
+                                rng.choice([1, 1, 2, 3, 4, 9, 11]))
+                       for _ in range(12)])
+    R = reduce_mod(A, p)
+    assert R.field == GF(p)
+    for x, y in zip(A.entries(), R.entries()):
+        assert y == FpElement(x.numerator, p) / FpElement(x.denominator, p)
+        assert 0 <= y.value < p
+    by_value = {}
+    for y in R.entries():
+        by_value.setdefault(y.value, set()).add(id(y))
+    if p <= 1 << 12:
+        assert all(len(ids) == 1 for ids in by_value.values())
+    with pytest.raises(BadPrime):
+        reduce_mod(Mat(QQ, 1, 2, [Fraction(1), Fraction(-3, 5 * p)]), p)
 
 
 def test_matmul_shape_errors():
