@@ -7,16 +7,21 @@ exact by construction, not by tolerance.  Enumeration orders are documented
 and deterministic; chunked scans return the same winner a sequential scan
 would (first index in enumeration order).
 
-Matrix products route through float64 BLAS: all operands are reduced
-residues, so the integer products stay far below 2^53 and the rounded
-results are exact.
+Matrix products of residues run through BLAS in a type that holds them
+exactly (_mod_matmul): over inner dimension K every entry is below
+K (p-1)^2, so float32 serves below 2^24, float64 below 2^53 and an int64
+product below 2^63.  They stay unreduced (cf. Dumas, Giorgi and Pernet,
+"Dense linear algebra over word-size prime fields", ACM TOMS 35, 2008).
 
-Ranks come from a swap-free elimination that reduces lazily: only the
-pivot column and pivot row are taken mod p, and every other entry absorbs
-at most C updates, each a product of two residues.  Entries of a (B, R, C)
-batch therefore stay within (p-1) + C (p-1)^2 in absolute value, and the
-kernel works in the narrowest signed integer dtype holding that bound:
-int16 for the shipped primes at the scan shapes, int32 or int64 beyond.
+Ranks come from a swap-free elimination that reduces lazily, on a
+batch-last layout (C, R, B) of B matrices with R rows and C columns that
+each scan builds with one GEMM W (m R x n) @ X^T (n x B) per
+representative row: only the pivot column and pivot row are taken mod p,
+and every other entry absorbs at most C updates, each a product of two
+residues.  Entries of magnitude at most U on input (p - 1 for residues,
+K (p-1)^2 for products) stay within U + C (p-1)^2, and the kernel works
+in the narrowest signed integer dtype holding that: int16 for the
+shipped primes at the scan shapes, int32 or int64 beyond.
 
 The definitional scan ranks compressed matrices first.  Each of its
 matrices M has D rows and t = m k columns, so rank M <= t even when D is
@@ -87,36 +92,39 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _basis_columns(basis: np.ndarray, q: int) -> np.ndarray:
-    """flat2[t, d*m + i] = basis[d, i, t] mod q, as int32: multiplying a
-    (rows, n) block of inputs by it applies every basis matrix at once."""
+def _basis_rows(basis: np.ndarray, q: int) -> np.ndarray:
+    """W[i*D + d, t] = basis[d, i, t] mod q, as int32: W @ x^T holds
+    (A_d x)_i at row i*D + d, every basis matrix applied at once."""
     D, m, n = basis.shape
-    return np.ascontiguousarray(
-        basis.transpose(2, 0, 1).reshape(n, D * m) % q).astype(np.int32)
+    return (basis.transpose(1, 0, 2).reshape(m * D, n) % q).astype(np.int32)
 
 
-def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p via float64 BLAS; operands must be reduced
-    residues and the inner dimension small enough that every accumulated
-    product stays below 2^53 (true for p <= 2^13 and inner dim < 2^26).
-
-    The product is rounded in place and cast once, to int32 unless its
-    entries can exceed int32, then reduced in place: besides the float64
-    product only the integer result and one temporary of its size exist."""
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    np.rint(prod, out=prod)
-    wide = a.shape[-1] * (p - 1) ** 2 > np.iinfo(np.int32).max
-    out = prod.astype(np.int64 if wide else np.int32)
-    del prod
-    return _reduce(out, p).astype(np.int32, copy=False)
+def _product_dtype(inner: int, p: int) -> np.dtype:
+    """Narrowest dtype holding a product of residues over this inner
+    dimension exactly (see the module docstring)."""
+    bound = inner * (p - 1) ** 2
+    for dt, exact in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
+        if bound < 1 << exact:
+            return np.dtype(dt)
+    raise ValueError(f"p = {p} is too large for an exact product")
 
 
-def _rank_dtype(p: int, C: int) -> np.dtype:
+def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Exact a @ b for 2-D arrays of residues mod p, not reduced mod p,
+    in _product_dtype; out, when given, must have that dtype."""
+    dt = _product_dtype(a.shape[1], p)
+    return np.matmul(a.astype(dt, copy=False), b.astype(dt, copy=False),
+                     out=out)
+
+
+def _rank_dtype(p: int, C: int, bound: int | None = None) -> np.dtype:
     """Narrowest signed integer dtype holding every entry of the lazy
-    elimination in batched_rank_mod_p: |x| <= (p-1) + C (p-1)^2."""
-    bound = (p - 1) + C * (p - 1) ** 2
+    elimination: |x| <= bound + C (p-1)^2, where bound is the input
+    entries' largest magnitude (p - 1 for residues)."""
+    top = (p - 1 if bound is None else bound) + C * (p - 1) ** 2
     for dt in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
+        if top <= np.iinfo(dt).max:
             return np.dtype(dt)
     raise ValueError(f"p = {p} is too large for the numpy rank kernel")
 
@@ -125,21 +133,13 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
                        inv: np.ndarray | None = None) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p).
 
-    mats has shape (B, R, C); entries outside [0, p) are reduced first.
-
-    Gaussian elimination without row swaps on a column-major working copy
-    of shape (C, B, R), so that column c of every matrix, and the block of
-    columns after it, are contiguous.  The pivot of column c is the first
-    row that is nonzero there, and only columns c+1.. are updated.  The
-    update also cancels the pivot row's own trailing entries mod p, so a
-    row used as a pivot is never chosen again, and a matrix without a
-    pivot in column c gets a zero update because inv[0] == 0.
-
-    Reduction is lazy: only the pivot column and the pivot row are taken
-    mod p, so each update subtracts a product of two residues and, over at
-    most C updates, every entry stays within (p-1) + C (p-1)^2 in absolute
-    value.  The working dtype is the narrowest signed integer type holding
-    that bound (int16 for small p and C), so every rank is exact.
+    mats has shape (B, R, C) and integer entries in an integer or float
+    dtype, such as the unreduced products of _mod_matmul (float32 exact
+    below 2^24, float64 below 2^53, int64 below 2^63).  One min/max
+    pass reads their largest magnitude U, which _eliminate's dtype bound
+    U + C (p-1)^2 takes in; only entries too wide for int64 are reduced
+    first.  This is the only place that transposes: _eliminate works on
+    the (C, R, B) view, so a batch built in that layout costs no copy.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -147,56 +147,74 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     B, R, C = mats.shape
     if B == 0 or R == 0 or C == 0:
         return np.zeros(B, dtype=np.int64)
-    if mats.min() < 0 or mats.max() >= p:
-        mats = mats % p
-    return _eliminate(mats, C, p, inv)[0]
+    bound = max(-int(mats.min()), int(mats.max()))
+    if bound + C * (p - 1) ** 2 > np.iinfo(np.int64).max:
+        mats, bound = mats % p, p - 1
+    return _eliminate(mats.transpose(2, 1, 0), C, p, inv, bound)[0]
 
 
 def _eliminate(mats: np.ndarray, lead: int, p: int,
-               inv: np.ndarray | None = None) -> tuple:
-    """Eliminate the first `lead` columns of a (B, R, C) batch of residues
-    mod p, as batched_rank_mod_p describes.
+               inv: np.ndarray | None = None,
+               bound: int | None = None) -> tuple:
+    """Eliminate the first `lead` columns of a batch laid out batch-last,
+    mats[c, r, b] = entry (r, c) of matrix b, whose entries are integers
+    of magnitude at most bound (default p - 1), in any dtype that holds
+    them exactly; they are cast once into the working dtype.
 
-    Returns (ranks of those columns, working copy of shape (C, B, R)).  The
+    No row swaps: the pivot of column c is the first row nonzero there mod
+    p, and only columns c+1.. are updated, which also cancels the pivot
+    row's own trailing entries mod p, so it is never chosen again; a
+    matrix without a pivot gets a zero update because inv[0] == 0.  Only
+    the pivot column and row are reduced, so over at most `lead` updates,
+    each a product of two residues, every entry stays within
+    bound + lead (p-1)^2, which the dtype of _rank_dtype holds exactly.
+
+    Returns (ranks of those columns, working copy of shape (C, R, B)).  The
     copy's columns lead.. then hold, mod p, zero on every pivot row and the
     Schur complement of the leading columns on every other row, so they
     are zero mod p exactly when they add nothing to the rank.
     """
-    B, R, C = mats.shape
+    C, R, B = mats.shape
     # allocation order matters to the peak RSS under glibc malloc:
     # allocating the working copy before rank and inv raised the peak of
     # `translab report paper` from 170 MB to 202 MB
     rank = np.zeros(B, dtype=np.int64)
     if inv is None:
         inv = inverse_table(p)
-    dt = _rank_dtype(p, lead)
+    dt = _rank_dtype(p, lead, bound)
     inv = inv.astype(dt)
-    A = np.empty((C, B, R), dtype=dt)
-    A[...] = mats.transpose(2, 0, 1)
+    A = np.empty((C, R, B), dtype=dt)
+    A[...] = mats
     if B == 0 or R == 0:
         return rank, A
     arange_b = np.arange(B)
     maxrank = min(R, C)
+    # the largest weight w = R - r over a column's nonzero rows r marks
+    # its pivot row R - w, at flat offset start[w] of the (R, B) column
+    # slab; a zero column (w = 0) takes row R - 1, whose scale is inv[0]
+    weight = np.arange(R, 0, -1, dtype=np.min_scalar_type(-R))[:, None]
+    start = (R - np.maximum(np.arange(R + 1), 1)) * B
     # scratch for the rank-one update of the trailing columns
-    buf = np.empty((C - 1) * B * R if lead else 0, dtype=dt)
+    buf = np.empty((C - 1) * R * B if lead else 0, dtype=dt)
     for c in range(lead):
         col = _reduce(A[c], p)
-        nonzero = col != 0
-        pr = np.argmax(nonzero, axis=1)
-        has = nonzero[arange_b, pr]
+        top = np.multiply(col != 0, weight).max(axis=0)
+        has = top > 0
         if not has.any():
             continue
         rank += has
         # when only ranks are wanted, stop once none can grow
         if c == C - 1 or (lead == C and (rank >= maxrank).all()):
             break
-        scale = inv[col[arange_b, pr]]
-        piv = _reduce(A[c + 1:, arange_b, pr], p)
+        at = start.take(top)
+        at += arange_b
+        scale = inv.take(col.reshape(-1).take(at))
+        tail = A[c + 1:]
+        piv = _reduce(tail.reshape(C - c - 1, R * B).take(at, axis=1), p)
         piv *= scale
         _reduce(piv, p)
-        tail = A[c + 1:]
         upd = buf[:tail.size].reshape(tail.shape)
-        np.multiply(piv[:, :, None], col, out=upd)
+        np.multiply(piv[:, None, :], col, out=upd)
         tail -= upd
     return rank, A
 
@@ -314,7 +332,7 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
     D, m, n = basis.shape
     if omega is None:
         p = q
-        flat = basis.reshape(D, m * n) % p
+        gen = basis % p
     else:
         p = math.isqrt(q)
         X, Y = basis // p, basis % p
@@ -328,17 +346,18 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
             blk[:, m:, :n] = im
             blk[:, m:, n:] = re
         m, n = 2 * m, 2 * n
-        flat = gen.reshape(2 * D, m * n)
         chunk = max(1, chunk // (m * n))
-    flat = flat.astype(np.int32)
+    # flat[c*m + i, d] = gen[d, i, c]: flat @ coords^T is the batch in the
+    # kernel's (C, R, B) layout
+    flat = gen.transpose(2, 1, 0).reshape(n * m, -1).astype(np.int32)
     inv = inverse_table(p)
     for codes in iter_projective_blocks(D, q, chunk):
         coords = codes
         if omega is not None:
             codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
             coords = np.concatenate([codes // p, codes % p], axis=1)
-        mats = _mod_matmul(coords, flat, p).reshape(-1, m, n)
-        ranks = batched_rank_mod_p(mats, p, inv)
+        mats = _mod_matmul(flat, coords.T, p).reshape(n, m, -1)
+        ranks = batched_rank_mod_p(mats.transpose(2, 1, 0), p, inv)
         yield codes, ranks if omega is None else ranks // 2
 
 
@@ -398,27 +417,36 @@ def _sketch(rows: int, D: int, q: int) -> np.ndarray:
     return np.random.default_rng(0).integers(0, q, size=(rows, D))
 
 
-def _input_products(block: np.ndarray, flat2: np.ndarray, m: int,
-                    q: int) -> np.ndarray:
-    """(B, R, m*k) batch over (B, k, n) representatives X: row d of matrix
-    b is A_d X_b, read row-major, for the R basis matrices in flat2."""
+def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
+                    unit: np.ndarray | None = None) -> np.ndarray:
+    """(m k + len(unit), R, B) batch in the kernel's layout over (B, k, n)
+    representatives X, for the R basis matrices in W (see _basis_rows):
+    column j*m + i, row d of matrix b is (A_d x_j)_i for row x_j of X_b,
+    one product per row j.  The rows of unit, residues of shape (u, R, 1),
+    fill the columns after them in every matrix.  Entries are unreduced,
+    below n (q-1)^2."""
     B, k, n = block.shape
-    R = flat2.shape[1] // m
-    # out[b, j, d*m + i] = sum_t block[b, j, t] basis[d, i, t]
-    out = _mod_matmul(block.reshape(B * k, n), flat2, q)
-    return out.reshape(B, k, R, m).transpose(0, 2, 3, 1).reshape(B, R, m * k)
+    R = W.shape[0] // m
+    extra = 0 if unit is None else len(unit)
+    out = np.empty((k * m + extra, R, B), dtype=_product_dtype(n, q))
+    for j in range(k):
+        _mod_matmul(W, block[:, j].T, q,
+                    out=out[j * m:(j + 1) * m].reshape(m * R, B))
+    if extra:
+        out[k * m:] = unit
+    return out
 
 
 # the prefix path of _input_ranks pays off once it saves about this many
 # cell updates on a block; below it, its extra numpy calls cost more
-_PREFIX_MIN_SAVING = 1 << 15
+_PREFIX_MIN_SAVING = 1 << 17
 
 
-def _input_ranks(block: np.ndarray, flat2: np.ndarray, m: int, q: int,
+def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
                  inv: np.ndarray) -> np.ndarray:
-    """batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv),
-    with one elimination per run of representatives that share their
-    first k - 1 rows.
+    """Ranks of the matrices of _input_products(block, W, m, q), with one
+    elimination per run of representatives that share their first k - 1
+    rows.
 
     Write the matrix of X as [M1 | M2], M1 = [A_d P] for the first k - 1
     rows P and M2 = [A_d x] for the last row x.  For Q spanning the left
@@ -437,51 +465,46 @@ def _input_ranks(block: np.ndarray, flat2: np.ndarray, m: int, q: int,
     points, take the direct route.
     """
     B, k, n = block.shape
-    R = flat2.shape[1] // m
+    R = W.shape[0] // m
     t = m * k
     saving = B * R * ((t * (t - 1) - m * (m - 1)) // 2 - (n - k + 1) * m)
-    if k == 1 or saving < _PREFIX_MIN_SAVING:
-        return batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv)
-    pre = block[:, :k - 1]
-    shift = (pre[1:] != pre[:-1]).any(axis=(1, 2))
-    starts = np.concatenate(([0], np.flatnonzero(shift) + 1))
-    G = len(starts)
-    if 2 * G > B:
-        return batched_rank_mod_p(_input_products(block, flat2, m, q), q, inv)
+    direct = k == 1 or saving < _PREFIX_MIN_SAVING
+    if not direct:
+        pre = block[:, :k - 1]
+        shift = (pre[1:] != pre[:-1]).any(axis=(1, 2))
+        starts = np.concatenate(([0], np.flatnonzero(shift) + 1))
+        G = len(starts)
+        direct = 2 * G > B
+    if direct:
+        mats = _input_products(block, W, m, q)
+        return batched_rank_mod_p(mats.transpose(2, 1, 0), q, inv)
     lead = (k - 1) * m
-    group = np.concatenate(([0], np.cumsum(shift)))
+    runs = np.diff(starts, append=B)
     x = block[:, k - 1]
     used = np.flatnonzero(x.any(axis=0))
     u = len(used)
-    # M[c, g, r]: column c, row r of [A_r P_g | A_r e_t for t in used]
-    M = np.empty((lead + u * m, G, R), dtype=np.int32)
-    prod = _mod_matmul(pre[starts].reshape(G * (k - 1), n), flat2, q)
-    M[:lead] = (prod.reshape(G, k - 1, R, m).transpose(1, 3, 0, 2)
-                .reshape(lead, G, R))
-    M[lead:] = flat2[used].reshape(u, R, m).transpose(0, 2, 1).reshape(
-        u * m, 1, R)
-    rank1, work = _eliminate(M.transpose(1, 2, 0), lead, q, inv)
-    # comp[t, i, g, r]: entry (r, i) of Q_g [A_d e_t]; sums of u products
+    # M[c, r, g]: row r, column c of [A_r P_g | A_r e_t for t in used]
+    unit = W.reshape(m, R, n)[:, :, used].transpose(2, 0, 1)
+    M = _input_products(pre[starts], W, m, q, unit.reshape(u * m, R, 1))
+    rank1, work = _eliminate(M, lead, q, inv, n * (q - 1) ** 2)
+    # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t]; sums of u products
     # of residues fit dt
     dt = _rank_dtype(q, u)
-    comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, G, R)
+    comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, R, G)
     # rows that are zero for every t (the pivot rows among them) add
     # nothing to any rank: move the others first, in order, and keep as
     # many rows as the fullest run needs
     live = comp.any(axis=(0, 1))
-    order = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(1).max()]
-    comp = np.take_along_axis(comp, order[None, None], axis=3)
+    order = np.argsort(~live, axis=0, kind="stable")[:live.sum(0).max()]
+    comp = np.take_along_axis(comp, order[None, None], axis=2)
+    # qm2[i, r, b]: entry (r, i) of Q M2 for point b, in the kernel's
+    # layout, unreduced
     xs = x[:, used].T.astype(dt)
-    # qm2[i, b, r]: entry (r, i) of Q M2 for point b, in the kernel's layout
-    qm2 = comp[0].take(group, axis=1)
-    qm2 *= xs[0, :, None]
+    qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
     for j in range(1, u):
-        term = comp[j].take(group, axis=1)
-        term *= xs[j, :, None]
-        qm2 += term
-        del term
-    rank2 = _eliminate(_reduce(qm2, q).transpose(1, 2, 0), m, q, inv)[0]
-    return rank1[group] + rank2
+        qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
+    rank2 = batched_rank_mod_p(qm2.transpose(2, 1, 0), q, inv)
+    return np.repeat(rank1, runs) + rank2
 
 
 def surjectivity_scan(basis: np.ndarray, k: int, q: int,
@@ -516,13 +539,13 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     inv = inverse_table(q)
     points = 0
     target = m * k
-    full = _basis_columns(basis, q)
+    full = _basis_rows(basis, q)
     rows = target + _oversampling(q)
     sketched = D > rows
     probe = full
     if sketched:
-        flat = (basis.reshape(D, m * n) % q).astype(np.int32)
-        probe = _basis_columns(
+        flat = basis.reshape(D, m * n) % q
+        probe = _basis_rows(
             _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
     for block in iter_rref_blocks(n, k, q, chunk):
         ranks = _input_ranks(block, probe, m, q, inv)
@@ -571,30 +594,23 @@ def separation_scan(basis: np.ndarray, k: int,
     j = k - 1
     lead = j * m
     inv = inverse_table(q)
-    flat2 = _basis_columns(basis, q)
-    # unit[t*m + i, 0, d] = (A_d e_t)_i
-    unit = flat2.reshape(n, D, m).transpose(0, 2, 1).reshape(n * m, 1, D)
+    W = _basis_rows(basis, q)
+    # unit[t*m + i, d, 0] = (A_d e_t)_i
+    unit = W.reshape(m, D, n).transpose(2, 0, 1).reshape(n * m, D, 1)
     # about DEFAULT_CHUNK * 128 cells of [A_d X | A_d e_t] per elimination
     width = (lead + n * m) * max(D, 1)
     chunk = max(1, DEFAULT_CHUNK * 128 // width)
     for block in _merge_blocks(
             iter_rref_blocks(n, j, q, chunk, order="far-first"), chunk):
         B = block.shape[0]
-        # M[c, r, d]: column c, row d of the matrix of representative r
-        M = np.empty((lead + n * m, B, D), dtype=np.int32)
-        if lead:
-            prod = _mod_matmul(block.reshape(B * j, n), flat2, q)
-            M[:lead] = (prod.reshape(B, j, D, m).transpose(1, 3, 0, 2)
-                        .reshape(lead, B, D))
-        M[lead:] = unit
-        rest = _reduce(_eliminate(M.transpose(1, 2, 0), lead, q, inv)[1]
-                       [lead:], q)
-        # stacked[r, i*D + d, t] = (A_c e_t)_i, c the left-kernel vector
-        # row d of representative r now holds; n columns keep the kernel's
-        # column loop short
-        stacked = rest.reshape(n, m, B, D).transpose(2, 1, 3, 0).reshape(
-            B, m * D, n)
-        ranks = batched_rank_mod_p(stacked, q, inv)
+        # M[c, d, b]: row d, column c of the matrix of representative b
+        M = _input_products(block, W, m, q, unit)
+        rest = _eliminate(M, lead, q, inv, n * (q - 1) ** 2)[1][lead:]
+        # stacked[t, i*D + d, b] = (A_c e_t)_i mod p, c the left-kernel
+        # vector row d of representative b now holds; n columns keep the
+        # kernel's column loop short
+        stacked = rest.reshape(n, m * D, B)
+        ranks = batched_rank_mod_p(stacked.transpose(2, 1, 0), q, inv)
         bad = np.nonzero(ranks < n - j)[0]
         if bad.size:
             return block[int(bad[0])].copy()
@@ -647,7 +663,7 @@ def rank_one_pair_scan(cokernel: np.ndarray, m: int, n: int, q: int,
             mats = (x[:, None] * ys[:, None, :]) % q  # (Ny, m, n)
             vecs = mats.reshape(len(ys), m * n)
             if cokernel.size:
-                resid = _mod_matmul(vecs, cok.T, q)
+                resid = _mod_matmul(vecs, cok.T, q) % q
                 good = np.nonzero(~resid.any(axis=1))[0]
             else:
                 good = np.arange(len(ys))

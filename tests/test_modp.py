@@ -61,13 +61,41 @@ def test_batched_rank_matches_exact():
         f = GF(p)
         for R, C in shapes + ([(3, 40)] if p == 8191 else []):
             arr = _batch_with_rank_profile(rng, p, R, C)
+            want = [_exact_rank(f, M) for M in arr]
             ranks = batched_rank_mod_p(arr, p)
-            assert ranks.tolist() == [_exact_rank(f, M) for M in arr]
+            assert ranks.tolist() == want
+            # the same matrices unreduced, at the top of the exact range of
+            # a float32 and of a float64 product, the largest entries a
+            # product can hand the kernel before _mod_matmul moves to int64
+            for top, dt in [(1 << 24, np.float32), (1 << 53, np.float64),
+                            (1 << 53, np.int64)]:
+                lifted = arr + (top - 1 - arr) // p * p
+                assert lifted.max() < top and (lifted % p == arr).all()
+                ranks = batched_rank_mod_p(lifted.astype(dt), p)
+                assert ranks.tolist() == want
         # degenerate batches: no matrices, no rows, no columns
         for shape in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]:
             arr = np.zeros(shape, dtype=np.int64)
             ranks = batched_rank_mod_p(arr, p)
             assert ranks.tolist() == [_exact_rank(f, M) for M in arr]
+
+
+def test_mod_matmul_is_exact_beyond_float64():
+    # at inner dimension 2 and p near 1e8 the entries of the product pass
+    # 2^53, where float64 rounds; past 2^63 no dtype holds them
+    from translab import modp
+
+    p = 99_999_989
+    rng = random.Random(7)
+    a = [[rng.randrange(p) for _ in range(2)] for _ in range(50)]
+    b = [[rng.randrange(p) for _ in range(50)] for _ in range(2)]
+    got = modp._mod_matmul(np.array(a), np.array(b), p) % p
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+    assert got.tolist() == want
+    with pytest.raises(ValueError):
+        modp._mod_matmul(np.ones((1, 2), dtype=np.int64),
+                         np.ones((2, 1), dtype=np.int64), 1 << 32)
 
 
 def test_projective_enumeration_order_and_count():
@@ -184,9 +212,10 @@ def _surjectivity_reference(basis, k, p, chunk):
     # whose row d is A_d X read row-major
     D, m, n = basis.shape
     points = 0
+    inv = inverse_table(p)
     for block in iter_rref_blocks(n, k, p, chunk):
         M = np.einsum("dit,bjt->bdij", basis, block) % p
-        ranks = batched_rank_mod_p(M.reshape(len(block), D, m * k), p)
+        ranks = batched_rank_mod_p(M.reshape(len(block), D, m * k), p, inv)
         points += len(block)
         bad = np.nonzero(ranks < m * k)[0]
         if bad.size:
@@ -211,10 +240,13 @@ def _planted_failure_basis(rng, p, m, n, k, D):
             return A
 
 
-# (p, m, n, k, D) with D > m*k + s(p): s(2) = 9, s(3) = 6, s(5) = 4, s(7) = 3
+# (p, m, n, k, D) with D > m*k + s(p): s(2) = 9, s(3) = 6, s(5) = 4,
+# s(7) = 3, s(43) = s(8191) = 1; products run in float32 up to p = 43 and
+# in float64 at p = 8191
 _COMPRESSED_SHAPES = [(2, 3, 5, 1, 13), (2, 3, 6, 2, 17), (3, 3, 4, 1, 11),
                       (3, 3, 5, 2, 13), (5, 2, 4, 1, 7), (5, 3, 4, 2, 11),
-                      (7, 2, 4, 1, 7), (7, 3, 4, 2, 10)]
+                      (7, 2, 4, 1, 7), (7, 3, 4, 2, 10), (43, 3, 2, 1, 5),
+                      (8191, 3, 2, 1, 5)]
 
 
 def test_surjectivity_scan_compression_is_exact(monkeypatch):
@@ -265,10 +297,12 @@ def _basis_killing(rng, p, m, n, D, x0):
             return A
 
 
-# (p, m, n, k, D): k = 2..4, p in {2, 3, 5, 7}, at most 156 points
+# (p, m, n, k, D): k = 2..4, p in {2, 3, 5, 7, 43}, at most 1,893 points;
+# a prime as large as 8191 has no such shape: with n > k >= 2 there are
+# over 6.7e7 points, and with n = k one point, which has no runs
 _PREFIX_SHAPES = [(2, 3, 5, 2, 8), (3, 2, 4, 2, 6), (5, 3, 3, 2, 7),
                   (7, 2, 3, 2, 5), (5, 3, 4, 3, 11), (3, 2, 4, 3, 7),
-                  (2, 2, 5, 4, 9), (3, 2, 5, 4, 9)]
+                  (2, 2, 5, 4, 9), (3, 2, 5, 4, 9), (43, 2, 3, 2, 5)]
 
 
 @pytest.mark.parametrize("forced", [True, False])
@@ -285,9 +319,9 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
     eliminate = modp._eliminate
     leads = []
 
-    def spy(mats, lead, p, inv=None):
+    def spy(mats, lead, p, inv=None, bound=None):
         leads.append(lead)
-        return eliminate(mats, lead, p, inv)
+        return eliminate(mats, lead, p, inv, bound)
 
     monkeypatch.setattr(modp, "_eliminate", spy)
     if forced:
@@ -296,16 +330,17 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
     for p, m, n, k, D in _PREFIX_SHAPES:
         inv = inverse_table(p)
         for x0 in np.eye(n, dtype=np.int64)[[0, -1]]:
-            flat2 = modp._basis_columns(_basis_killing(rng, p, m, n, D, x0),
-                                        p)
+            basis = _basis_killing(rng, p, m, n, D, x0)
+            W = modp._basis_rows(basis, p)
             deficient = 0
             leads.clear()
             for chunk in (1, 7, 40)[:3 * forced] + (modp.DEFAULT_CHUNK,):
                 for block in iter_rref_blocks(n, k, p, chunk):
                     for part in (block, block[::2])[:1 + (chunk > 1)]:
+                        M = np.einsum("dit,bjt->bdij", basis, part) % p
                         want = batched_rank_mod_p(
-                            modp._input_products(part, flat2, m, p), p, inv)
-                        got = modp._input_ranks(part, flat2, m, p, inv)
+                            M.reshape(len(part), D, m * k), p, inv)
+                        got = modp._input_ranks(part, W, m, p, inv)
                         assert got.tolist() == want.tolist(), (p, m, n, k,
                                                                chunk)
                         deficient += int((want < m * k).sum())
