@@ -204,7 +204,8 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
             continue
         rank += has
         # when only ranks are wanted, stop once none can grow
-        if c == C - 1 or (lead == C and (rank >= maxrank).all()):
+        if c == C - 1 or (lead == C and c + 1 >= maxrank
+                          and (rank >= maxrank).all()):
             break
         at = start.take(top)
         at += arange_b
