@@ -154,12 +154,11 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
 
 
 def _eliminate(mats: np.ndarray, lead: int, p: int,
-               inv: np.ndarray | None = None,
-               bound: int | None = None) -> tuple:
+               inv: np.ndarray | None, bound: int) -> tuple:
     """Eliminate the first `lead` columns of a batch laid out batch-last,
     mats[c, r, b] = entry (r, c) of matrix b, whose entries are integers
-    of magnitude at most bound (default p - 1), in any dtype that holds
-    them exactly; they are cast once into the working dtype.
+    of magnitude at most bound, in any dtype that holds them exactly;
+    they are cast once into the working dtype.
 
     No row swaps: the pivot of column c is the first row nonzero there mod
     p, and only columns c+1.. are updated, which also cancels the pivot
@@ -192,7 +191,7 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
     # the largest weight w = R - r over a column's nonzero rows r marks
     # its pivot row R - w, at flat offset start[w] of the (R, B) column
     # slab; a zero column (w = 0) takes row R - 1, whose scale is inv[0]
-    weight = np.arange(R, 0, -1, dtype=np.min_scalar_type(-R))[:, None]
+    weight = np.arange(R, 0, -1, dtype=np.min_scalar_type(R))[:, None]
     start = (R - np.maximum(np.arange(R + 1), 1)) * B
     # scratch for the rank-one update of the trailing columns
     buf = np.empty((C - 1) * R * B if lead else 0, dtype=dt)
@@ -504,7 +503,7 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
     qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
     for j in range(1, u):
         qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
-    rank2 = batched_rank_mod_p(qm2.transpose(2, 1, 0), q, inv)
+    rank2 = _eliminate(qm2, m, q, inv, u * (q - 1) ** 2)[0]
     return np.repeat(rank1, runs) + rank2
 
 
