@@ -54,8 +54,7 @@ def _batch_with_rank_profile(rng, p, R, C):
 
 def test_batched_rank_matches_exact():
     rng = random.Random(0)
-    # 127..129 rows straddle the width of the kernel's int8/uint8 row
-    # weights
+    # at 128 rows the kernel's row weights 1..R outgrow a signed byte
     shapes = [(32, 8), (16, 10), (6, 4), (1, 7), (7, 1), (4, 4), (3, 5),
               (127, 3), (128, 3), (129, 2)]
     # 43 is the largest fallback prime; 8191 needs a dtype wider than
