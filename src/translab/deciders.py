@@ -18,6 +18,13 @@ the first two.  Witnesses come only from the first two: when the
 output-subspace route finds a failure, the cheaper of them runs as well
 and must fail too, so no verdict or witness depends on the choice.
 
+Over Q or Q(i), transitivity and separation certify by one rule.  The
+space is reduced mod each requested prime; a prime that collides with a
+denominator is replaced by the next fallback prime.  The verdict is
+certified_finite_field only when every prime that ran certified and at
+least as many primes ran as were requested.  A failure found mod p
+disproves only once its lift to the space's own field verifies exactly.
+
 Verdict statuses:
 
 * ``disproved``                a verified witness exists; valid over every
@@ -117,56 +124,47 @@ class RankWitness:
         return space.contains(T)
 
 
+class _Verdict:
+    """What transitivity and separation verdicts share: whether the status
+    certifies, and its soundness label."""
+
+    @property
+    def certified(self) -> bool:
+        return self.status in (Status.CERTIFIED_EXACT,
+                               Status.CERTIFIED_FINITE_FIELD)
+
+    @property
+    def soundness(self) -> str:
+        if self.status == Status.CERTIFIED_EXACT:
+            return "no low-rank obstruction over the algebraic closure"
+        if self.status == Status.CERTIFIED_FINITE_FIELD:
+            fields = ", ".join(f"GF({p})" for p in self.primes)
+            return (f"exhaustively certified over {fields} only; "
+                    "does not transfer to characteristic zero")
+        if self.status == Status.DISPROVED:
+            tag = self.evidence.get("witness_field", "")
+            if tag in ("Q", "Qi"):
+                return f"exact witness over {tag}; valid over every extension"
+            return f"witness over {tag}; valid for that field only"
+        return "no sound conclusion reached within the budget"
+
+
 @dataclass
-class TransitivityVerdict:
+class TransitivityVerdict(_Verdict):
     status: Status
     k: int
     witness: Optional[RankWitness]
     primes: tuple = ()
     evidence: dict = dc_field(default_factory=dict)
 
-    @property
-    def certified(self) -> bool:
-        return self.status in (Status.CERTIFIED_EXACT,
-                               Status.CERTIFIED_FINITE_FIELD)
-
-    @property
-    def soundness(self) -> str:
-        return _soundness(self.status, self.primes, self.evidence)
-
 
 @dataclass
-class SeparationVerdict:
+class SeparationVerdict(_Verdict):
     status: Status
     k: int
     witness_columns: Optional[Mat]  # n x k, full column rank
     primes: tuple = ()
     evidence: dict = dc_field(default_factory=dict)
-
-    @property
-    def certified(self) -> bool:
-        return self.status in (Status.CERTIFIED_EXACT,
-                               Status.CERTIFIED_FINITE_FIELD)
-
-    @property
-    def soundness(self) -> str:
-        return _soundness(self.status, self.primes, self.evidence)
-
-
-def _soundness(status: Status, primes: tuple, evidence: dict) -> str:
-    """The soundness label shared by transitivity and separation verdicts."""
-    if status == Status.CERTIFIED_EXACT:
-        return "no low-rank obstruction over the algebraic closure"
-    if status == Status.CERTIFIED_FINITE_FIELD:
-        fields = ", ".join(f"GF({p})" for p in primes)
-        return (f"exhaustively certified over {fields} only; "
-                "does not transfer to characteristic zero")
-    if status == Status.DISPROVED:
-        tag = evidence.get("witness_field", "")
-        if tag in ("Q", "Qi"):
-            return f"exact witness over {tag}; valid over every extension"
-        return f"witness over {tag}; valid for that field only"
-    return "no sound conclusion reached within the budget"
 
 
 @dataclass
@@ -547,20 +545,12 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
     ev: dict = {"strategy": strategy, "seed": seed, "budget": budget,
                 "dim": L.dim, "dim_perp": d, "steps": []}
 
-    def witness_from(coeffs, T, tag):
-        w = RankWitness(tuple(coeffs), T, k)
-        _require(w.verify(Lp if T.field == Lp.field else _lift_to_qi(Lp)),
-                 "rank witness")
-        ev["witness_field"] = tag
-        return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
-
     if k >= min(m, n):
         ev["steps"].append("forced: k >= min(m, n), transitive iff full")
         if d == 0:
             return TransitivityVerdict(Status.CERTIFIED_EXACT, k, None, (), ev)
-        B = Lp.basis[0]
         coeffs = [Lp.field.one()] + [Lp.field.zero()] * (d - 1)
-        return witness_from(coeffs, B, L.field.tag)
+        return _disproved(k, coeffs, Lp.basis[0], Lp, ev)
 
     if d == 0:
         ev["steps"].append("pre-annihilator is zero")
@@ -590,10 +580,33 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             ev["steps"].append(f"basis scan hit at index {i}")
             coeffs = [Lp.field.zero()] * d
             coeffs[i] = Lp.field.one()
-            return witness_from(coeffs, B, L.field.tag)
+            return _disproved(k, coeffs, B, Lp, ev)
+
+    def at_prime(p, reductions, info):
+        # the route scan over GF(p); a rank <= k element found there ends
+        # certification once its plain or centered lift verifies over L's
+        # field
+        Lq, Lpq = reductions
+        try:
+            coeffs, _T = _low_rank_over_own_field(Lq, Lpq, k, budget, info)
+        except BudgetExceeded as exc:
+            info["skipped"] = str(exc)
+            return False
+        if coeffs is None:
+            return True
+        info["low_rank_mod_p"] = True
+        for lift in _lift_vectors([c.value for c in coeffs], p):
+            cand = [Lp.field.from_int(c) for c in lift]
+            T = Lp.element(cand)
+            if not T.is_zero() and T.rank() <= k:
+                info["lifted"] = True
+                return _disproved(k, cand, T, Lp, ev)
+        info["lifted"] = False
+        return False
 
     if strategy in ("auto", "ff"):
-        verdict = _ff_certify_rational(L, Lp, k, tuple(primes), budget, ev)
+        verdict = _certify_over_primes(TransitivityVerdict, k, (L, Lp),
+                                       primes, ev, at_prime)
         if verdict is not None:
             return verdict
 
@@ -619,7 +632,6 @@ def _cert_to_strings(cert, f: Field):
 
 def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
     """Exhaustive decision over the subspace's own finite field."""
-    f = L.field
     try:
         coeffs, T = _low_rank_over_own_field(L, Lp, k, budget, ev)
     except BudgetExceeded:
@@ -627,10 +639,16 @@ def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
         return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
     if coeffs is None:
         return TransitivityVerdict(
-            Status.CERTIFIED_FINITE_FIELD, k, None, (f.size,), ev)
-    ev["witness_field"] = f.tag
+            Status.CERTIFIED_FINITE_FIELD, k, None, (L.field.size,), ev)
+    return _disproved(k, coeffs, T, Lp, ev)
+
+
+def _disproved(k, coeffs, T, Lp, ev) -> TransitivityVerdict:
+    """The disproved verdict for T, a rank <= k element of Lp with the
+    given coordinates, once an independent exact check confirms it."""
     w = RankWitness(tuple(coeffs), T, k)
     _require(w.verify(Lp), "rank witness")
+    ev["witness_field"] = Lp.field.tag
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
 
 
@@ -745,14 +763,22 @@ def _witness_from_failing_input(L, Lp, X: Mat, k: int):
     return coeffs, T
 
 
-def _prime_plan(spaces, primes, ff: dict):
-    """Yield (p, reductions of spaces mod p, info) over the prime plan.
+def _certify_over_primes(kind, k, spaces, primes, ev, at_prime):
+    """The certified_finite_field verdict of the given kind, a disproof
+    from at_prime, or None.
 
-    info is a fresh dict stored as ff[str(p)].  A prime at which some space
-    has no reduction (BadPrime) is not yielded: its info records the skip
-    and the next fallback prime not in the plan is appended instead."""
+    Each space is reduced mod each prime of the plan.  A prime at which
+    some space has no reduction (BadPrime) does not run: its entry in
+    ev["ff"] records the skip, and the next fallback prime not in the plan
+    joins it.  Every other prime runs at_prime(p, reductions, info), info
+    being its fresh ev["ff"] entry; at_prime returns a verdict, which ends
+    certification, or whether p certified.  The rule: every prime that ran
+    certified, and at least len(primes) primes ran.
+    """
+    ff = ev.setdefault("ff", {})
     plan = list(primes)
     fallback = iter([p for p in _FALLBACK_PRIMES if p not in plan])
+    ran, certified = 0, []
     while plan:
         p = plan.pop(0)
         info = ff[str(p)] = {}
@@ -762,44 +788,16 @@ def _prime_plan(spaces, primes, ff: dict):
             info["skipped"] = f"{type(exc).__name__}: {exc}"
             plan.extend(itertools.islice(fallback, 1))
             continue
-        yield p, reductions, info
-
-
-def _ff_certify_rational(L, Lp, k, primes, budget, ev) -> Optional[TransitivityVerdict]:
-    """Two-prime certification pipeline for Q / Q(i) subspaces.
-
-    Returns a final verdict, or None to let the caller continue with the
-    numeric search (mixed or over-budget outcomes)."""
-    certified = []
-    used = []
-    for p, (Lq, Lpq), info in _prime_plan((L, Lp), primes,
-                                          ev.setdefault("ff", {})):
-        used.append(p)
-        try:
-            coeffs, _T = _low_rank_over_own_field(Lq, Lpq, k, budget, info)
-        except BudgetExceeded as exc:
-            info["skipped"] = str(exc)
-            continue
-        if coeffs is None:
+        ran += 1
+        outcome = at_prime(p, reductions, info)
+        if isinstance(outcome, _Verdict):
+            return outcome
+        if outcome:
             certified.append(p)
-            continue
-        # a low-rank element exists mod p: try to lift it to an exact witness
-        info["low_rank_mod_p"] = True
-        ints = [c.value for c in coeffs]
-        for lift in _lift_vectors(ints, p):
-            cand = [Lp.field.from_int(c) for c in lift]
-            T0 = Lp.element(cand)
-            if not T0.is_zero() and T0.rank() <= k:
-                info["lifted"] = True
-                ev["witness_field"] = L.field.tag
-                w = RankWitness(tuple(cand), T0, k)
-                _require(w.verify(Lp), "rank witness")
-                return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
-        info["lifted"] = False
-    ev["ff"]["certified_primes"] = certified
-    if used and len(certified) == len(used) >= len(primes):
-        return TransitivityVerdict(
-            Status.CERTIFIED_FINITE_FIELD, k, None, tuple(certified), ev)
+    ff["certified_primes"] = certified
+    if ran and len(certified) == ran >= len(primes):
+        return kind(Status.CERTIFIED_FINITE_FIELD, k, None, tuple(certified),
+                    ev)
     return None
 
 
@@ -829,6 +827,16 @@ def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
 
 # ----------------------------------------------------------- definitional
 
+def _random_full_rank(rng, f, n: int, k: int) -> Mat:
+    """The first n x k matrix of full column rank among those drawn with
+    entries rng.randint(-3, 3), row-major."""
+    while True:
+        X = Mat(f, n, k, [f.from_int(rng.randint(-3, 3))
+                          for _ in range(n * k)])
+        if X.rank() == k:
+            return X
+
+
 def definitional_transitivity_sample(L: MatrixSubspace, k: int,
                                      trials: int = 100,
                                      seed: int = 0) -> DefinitionalSample:
@@ -843,11 +851,7 @@ def definitional_transitivity_sample(L: MatrixSubspace, k: int,
     n, m = L.cols, L.rows
     f = L.field
     for _ in range(trials):
-        while True:
-            X = Mat(f, n, k, [f.from_int(rng.randint(-3, 3))
-                              for _ in range(n * k)])
-            if X.rank() == k:
-                break
+        X = _random_full_rank(rng, f, n, k)
         if L.dim == 0:
             return DefinitionalSample(True, X, trials, seed)
         stacked = Mat(f, L.dim, m * k,
@@ -903,33 +907,27 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         rng = random.Random(seed)
         f = L.field
         for _ in range(trials):
-            while True:
-                X = Mat(f, n, k, [f.from_int(rng.randint(-3, 3))
-                                  for _ in range(n * k)])
-                if X.rank() == k:
-                    break
+            X = _random_full_rank(rng, f, n, k)
             if _verify_separation_violation(L, X):
                 ev["witness_field"] = f.tag
                 return SeparationVerdict(Status.DISPROVED, k, X, (), ev)
         ev["steps"].append("no counterexample found by sampling")
         return SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
 
-    certified = []
-    used = []
     for_budget = modp.gaussian_binomial(n, k - 1, max(primes, default=5))
     if for_budget > budget:
         raise BudgetExceeded(f"{for_budget} flags exceed the budget")
-    ev["ff"] = {}
-    for p, (Lq,), info in _prime_plan((L,), primes, ev["ff"]):
-        used.append(p)
+
+    def at_prime(p, reductions, info):
+        # the flag scan over GF(p); a violating flag found there ends
+        # certification once its plain lift verifies over L's field
         info["points"] = modp.gaussian_binomial(n, k - 1, p)
         if info["points"] > budget:
             raise BudgetExceeded(
                 f"{info['points']} flags over GF({p}) exceed the budget")
-        bad = _separation_scan_ff(Lq, k)
+        bad = _separation_scan_ff(reductions[0], k)
         if bad is None:
-            certified.append(p)
-            continue
+            return True
         info["violation_mod_p"] = True
         lifted = Mat(L.field, n, k,
                      [L.field.from_int(x.value) for x in bad.entries()])
@@ -938,11 +936,11 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             ev["witness_field"] = L.field.tag
             return SeparationVerdict(Status.DISPROVED, k, lifted, (), ev)
         info["lifted"] = False
-    ev["ff"]["certified_primes"] = certified
-    if used and len(certified) == len(used):
-        return SeparationVerdict(
-            Status.CERTIFIED_FINITE_FIELD, k, None, tuple(certified), ev)
-    return SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
+        return False
+
+    verdict = _certify_over_primes(SeparationVerdict, k, (L,), primes, ev,
+                                   at_prime)
+    return verdict or SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
 
 
 def _separation_scan_ff(L: MatrixSubspace, k: int) -> Optional[Mat]:
@@ -994,43 +992,23 @@ def _flag_violation(L: MatrixSubspace, Vrows) -> tuple:
         stacked = Mat(f, len(W_basis) * m, n,
                       [x for B in W_basis for x in B.entries()])
         ck = stacked.kernel()
-    if not ck:
-        return ck, True
-    if not Vrows:
-        return ck, False
-    span = Mat(f, len(Vrows), n, [x for r in Vrows for x in r])
-    base_rank = span.rank()
-    for v in ck:
-        aug = Mat(f, len(Vrows) + 1, n,
-                  [x for r in Vrows for x in r] + list(v))
-        if aug.rank() > base_rank:
-            return ck, False
-    return ck, True
+    return ck, _in_span(f, n, Vrows, ck)
+
+
+def _in_span(f, n: int, rows, vecs) -> bool:
+    """Whether every vector of vecs lies in the span of rows (length-n
+    tuples over f): rank([rows; vecs]) == rank(rows)."""
+    flat = [x for r in rows for x in r]
+    both = Mat(f, len(rows) + len(vecs), n, flat + [x for v in vecs for x in v])
+    return both.rank() == Mat(f, len(rows), n, flat).rank()
 
 
 def _choose_final_vector(f, n, ck, Vrows):
     """Standard basis vector in common_kernel minus span(Vrows) if any,
     else the first projective combination of the kernel basis outside."""
-    ckm = Mat(f, len(ck), n, [x for v in ck for x in v]) if ck else None
-    ck_rank = ckm.rank() if ckm else 0
-
-    def in_ck(vec) -> bool:
-        if ckm is None:
-            return False
-        aug = Mat(f, len(ck) + 1, n, [x for v in ck for x in v] + list(vec))
-        return aug.rank() == ck_rank
-
-    def in_span(vec) -> bool:
-        if not Vrows:
-            return False
-        base = Mat(f, len(Vrows), n, [x for r in Vrows for x in r])
-        aug = Mat(f, len(Vrows) + 1, n,
-                  [x for r in Vrows for x in r] + list(vec))
-        return aug.rank() == base.rank()
-
     for t in range(n):
         e = tuple(f.one() if i == t else f.zero() for i in range(n))
-        if in_ck(e) and not in_span(e):
+        if _in_span(f, n, ck, [e]) and not _in_span(f, n, Vrows, [e]):
             return e
     for coeffs in _projective_tuples_generic(f, len(ck)):
         vec = [f.zero()] * n
@@ -1038,7 +1016,7 @@ def _choose_final_vector(f, n, ck, Vrows):
             if c:
                 for i in range(n):
                     vec[i] = vec[i] + c * kv[i]
-        if any(vec) and not in_span(vec):
+        if any(vec) and not _in_span(f, n, Vrows, [vec]):
             return tuple(vec)
     raise AssertionError("violating flag without a final vector")
 

@@ -53,6 +53,7 @@ and smaller blocks keep the scan's peak memory low.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Optional
@@ -76,11 +77,14 @@ __all__ = [
 DEFAULT_CHUNK = 1 << 15
 
 
+@functools.cache
 def inverse_table(p: int) -> np.ndarray:
-    """inv[k] = k^-1 mod p for k in 1..p-1 (inv[0] = 0)."""
+    """inv[k] = k^-1 mod p for k in 1..p-1 (inv[0] = 0).  One read-only
+    table per prime, shared by every caller."""
     inv = np.zeros(p, dtype=np.int32)
     for k in range(1, p):
         inv[k] = pow(k, p - 2, p)
+    inv.flags.writeable = False
     return inv
 
 

@@ -121,39 +121,34 @@ def _evidence_to_obj(ev: dict) -> dict:
     return clean(ev)
 
 
-def transitivity_verdict_to_obj(v) -> dict:
-    out = {
-        "kind": "transitivity-verdict",
+def _verdict_to_obj(v, kind: str, witness_key: str, witness) -> dict:
+    return {
+        "kind": kind,
         "status": v.status.value,
         "k": v.k,
         "primes": list(v.primes),
         "soundness": v.soundness,
-        "witness": None,
+        witness_key: witness,
         "evidence": _evidence_to_obj(v.evidence),
     }
+
+
+def transitivity_verdict_to_obj(v) -> dict:
+    witness = None
     if v.witness is not None:
         wf = v.witness.matrix.field
-        out["witness"] = {
+        witness = {
             "coefficients": [wf.format(c) for c in v.witness.coefficients],
             "matrix": mat_to_obj(v.witness.matrix),
             "rank_bound": v.witness.rank_bound,
         }
-    return out
+    return _verdict_to_obj(v, "transitivity-verdict", "witness", witness)
 
 
 def separation_verdict_to_obj(v) -> dict:
-    out = {
-        "kind": "separation-verdict",
-        "status": v.status.value,
-        "k": v.k,
-        "primes": list(v.primes),
-        "soundness": v.soundness,
-        "witness_columns": None,
-        "evidence": _evidence_to_obj(v.evidence),
-    }
-    if v.witness_columns is not None:
-        out["witness_columns"] = mat_to_obj(v.witness_columns)
-    return out
+    cols = v.witness_columns
+    return _verdict_to_obj(v, "separation-verdict", "witness_columns",
+                           mat_to_obj(cols) if cols is not None else None)
 
 
 def rank_extremes_to_obj(r) -> dict:

@@ -33,12 +33,14 @@ from translab.deciders import (
 )
 from translab.deciders import (_choose_final_vector, _ff_low_rank_threshold,
                                _flag_violation, _projective_tuples_generic,
-                               _separation_scan_ff)
+                               _separation_scan_ff,
+                               _verify_separation_violation)
 from translab.errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
 from translab import modp
 from translab.families import (
     dual_transitive_8dim,
     minimal_k_transitive,
+    random_subspace,
     rank_annihilator_obstruction,
     rank_annihilator_space,
     toeplitz_rank_one_generators,
@@ -885,6 +887,45 @@ def test_bad_prime_fallback():
     assert "skipped" in v.evidence["ff"]["5"]
     assert v.status == Status.CERTIFIED_FINITE_FIELD
     assert v.primes == (7, 11)
+
+
+def test_exhausted_fallback_primes_leave_both_verdicts_unknown():
+    # every fallback prime divides a denominator, so GF(5) is the only
+    # usable prime; one prime is fewer than the two requested, and neither
+    # transitivity nor separation may certify over it
+    N = 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    S = Mat.from_rows(QQ, [[1, Fraction(1, N), 0], [0, 1, 0], [0, 0, 1]])
+    L = minimal_k_transitive(3, 3, 1).equivalence_transform(
+        S, Mat.identity(QQ, 3))
+    for v in (check_k_transitive(L, 1, "ff"), check_k_separating(L, 2, "ff")):
+        assert v.status == Status.UNKNOWN and v.primes == ()
+        assert v.evidence["ff"]["certified_primes"] == [5]
+        assert all("skipped" in v.evidence["ff"][str(p)]
+                   for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+
+
+def test_separation_rational_lift_evidence():
+    # no lift: the flag that violates separation mod 5 and mod 7 is not a
+    # rational violation, so the verdict stays unknown
+    half = Fraction(1, 2)
+    gens = [Mat.from_rows(QQ, rows) for rows in (
+        [[1, 0, 0], [-half, -1, -half]],
+        [[0, 1, 0], [-half, 1, half]],
+        [[0, 0, 1], [0, 1, 0]])]
+    L = MatrixSubspace.from_generators(gens, rows=2, cols=3, field=QQ)
+    v = check_k_separating(L, 2, "ff")
+    assert v.status == Status.UNKNOWN
+    assert v.evidence["ff"] == {
+        "5": {"points": 31, "violation_mod_p": True, "lifted": False},
+        "7": {"points": 57, "violation_mod_p": True, "lifted": False},
+        "certified_primes": []}
+    # lift: the violating flag mod 5 is a violation over Q as well
+    L = random_subspace(random.Random(0), QQ, 5, 3, 4, 1)
+    v = check_k_separating(L, 4, "ff")
+    assert v.status == Status.DISPROVED
+    assert v.evidence["ff"]["5"]["lifted"] is True
+    assert "certified_primes" not in v.evidence["ff"]
+    assert _verify_separation_violation(L, v.witness_columns)
 
 
 def test_prime_loop_does_not_swallow_bugs(monkeypatch):

@@ -26,6 +26,11 @@ def test_inverse_table():
         inv = inverse_table(p)
         for k in range(1, p):
             assert (k * int(inv[k])) % p == 1
+        # one shared table per prime, which no caller may write into
+        assert inverse_table(p) is inv
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[1] = 0
 
 
 def _exact_rank(f, mat):
