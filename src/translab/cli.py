@@ -159,6 +159,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("target", nargs="?", default="paper",
                     choices=["paper", "full"])
     sp.add_argument("-o", "--output", help="also write the JSON here")
+    sp.add_argument("--timings", action="store_true",
+                    help="give each row's seconds in the table on stderr")
     return p
 
 
@@ -256,13 +258,14 @@ def _dispatch(args) -> int:
         _emit(rank_extremes_to_obj(ex), args.output)
         return 0
     if cmd == "report":
-        report = build_report()
+        seconds = [] if args.timings else None
+        report = build_report(seconds)
         text = dumps(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.write(text)
-        print(format_report_table(report), file=sys.stderr)
+        print(format_report_table(report, seconds), file=sys.stderr)
         return 0 if report["all_ok"] else 1
     raise _UsageError(f"unknown command {cmd!r}")
 

@@ -42,6 +42,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ from .fields import (
     Field,
     GaussianRational,
     PrimeFieldDomain,
+    is_prime,
 )
 from .lowrank import search_low_rank_element
 from .matrices import Mat
@@ -586,9 +588,10 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         # the route scan over GF(p); a rank <= k element found there ends
         # certification once its plain or centered lift verifies over L's
         # field
-        Lq, Lpq = reductions
+        Lq, perp_q = reductions
         try:
-            coeffs, _T = _low_rank_over_own_field(Lq, Lpq, k, budget, info)
+            coeffs, _T = _low_rank_over_own_field(Lq, perp_q, k, budget,
+                                                  info)
         except BudgetExceeded as exc:
             info["skipped"] = str(exc)
             return False
@@ -605,8 +608,13 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         return False
 
     if strategy in ("auto", "ff"):
-        verdict = _certify_over_primes(TransitivityVerdict, k, (L, Lp),
-                                       primes, ev, at_prime)
+        # L mod p first, then Lp's BadPrime at p; Lp itself is reduced
+        # only when a route needs it
+        den = _denominator_lcm(Lp)
+        verdict = _certify_over_primes(
+            TransitivityVerdict, k,
+            lambda p: (L.reduce_mod(p), _reduction_when_needed(Lp, p, den)),
+            primes, ev, at_prime)
         if verdict is not None:
             return verdict
 
@@ -633,7 +641,7 @@ def _cert_to_strings(cert, f: Field):
 def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
     """Exhaustive decision over the subspace's own finite field."""
     try:
-        coeffs, T = _low_rank_over_own_field(L, Lp, k, budget, ev)
+        coeffs, T = _low_rank_over_own_field(L, lambda: Lp, k, budget, ev)
     except BudgetExceeded:
         ev["steps"].append("enumeration exceeds the budget")
         return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
@@ -689,9 +697,11 @@ def _choose_route(f, m: int, n: int, d_perp: int, k: int, budget: int):
     return route, witness_route, counts
 
 
-def _low_rank_over_own_field(L, Lp, k, budget, info):
-    """The first nonzero element of rank <= k of Lp over L's own finite
-    field, as (coeffs, T), or (None, None) when there is none.
+def _low_rank_over_own_field(L, perp, k, budget, info):
+    """The first nonzero element of rank <= k of Lp = perp(), L's
+    pre-annihilator, over L's own finite field, as (coeffs, T), or
+    (None, None) when there is none; perp is called only by the routes
+    that need Lp.
 
     Runs the route of _choose_route and records the compared counts, the
     route and its points in info.  The witness is the first one of the
@@ -701,7 +711,7 @@ def _low_rank_over_own_field(L, Lp, k, budget, info):
     route fits the budget.
     """
     route, witness_route, info["route_choice"] = _choose_route(
-        L.field, L.rows, L.cols, Lp.dim, k, budget)
+        L.field, L.rows, L.cols, L.rows * L.cols - L.dim, k, budget)
     if route is None:
         raise BudgetExceeded("both enumeration routes exceed the budget")
     info["route"] = route
@@ -719,23 +729,24 @@ def _low_rank_over_own_field(L, Lp, k, budget, info):
         if steps is not None:
             steps.append(_STEP_TEXT[witness_route])
         coeffs, T, info["witness_points"] = _witness_route_scan(
-            witness_route, L, Lp, k, budget)
+            witness_route, L, perp, k, budget)
         _require(coeffs is not None, "output-subspace scan")
         return coeffs, T
-    coeffs, T, info["points"] = _witness_route_scan(route, L, Lp, k, budget)
+    coeffs, T, info["points"] = _witness_route_scan(route, L, perp, k,
+                                                    budget)
     return coeffs, T
 
 
-def _witness_route_scan(route, L, Lp, k, budget):
-    """(coeffs, T, points) of the first rank <= k element of Lp that the
-    input-subspace or pre-annihilator route finds, coeffs and T None when
-    it finds none."""
+def _witness_route_scan(route, L, perp, k, budget):
+    """(coeffs, T, points) of the first rank <= k element of Lp = perp()
+    that the input-subspace or pre-annihilator route finds, coeffs and T
+    None when it finds none."""
     if route == "pre-annihilator":
-        return _ff_low_rank_threshold(Lp, k, budget)
+        return _ff_low_rank_threshold(perp(), k, budget)
     ok, X, pts = definitional_k_transitive_ff(L, k, budget)
     if ok:
         return None, None, pts
-    coeffs, T = _witness_from_failing_input(L, Lp, X, k)
+    coeffs, T = _witness_from_failing_input(L, perp(), X, k)
     return coeffs, T, pts
 
 
@@ -763,14 +774,14 @@ def _witness_from_failing_input(L, Lp, X: Mat, k: int):
     return coeffs, T
 
 
-def _certify_over_primes(kind, k, spaces, primes, ev, at_prime):
+def _certify_over_primes(kind, k, reduce, primes, ev, at_prime):
     """The certified_finite_field verdict of the given kind, a disproof
     from at_prime, or None.
 
-    Each space is reduced mod each prime of the plan.  A prime at which
-    some space has no reduction (BadPrime) does not run: its entry in
-    ev["ff"] records the skip, and the next fallback prime not in the plan
-    joins it.  Every other prime runs at_prime(p, reductions, info), info
+    reduce(p) gives the reductions mod each prime p of the plan.  A prime
+    at which it raises BadPrime does not run: its entry in ev["ff"]
+    records the skip, and the next fallback prime not in the plan joins
+    it.  Every other prime runs at_prime(p, reductions, info), info
     being its fresh ev["ff"] entry; at_prime returns a verdict, which ends
     certification, or whether p certified.  The rule: every prime that ran
     certified, and at least len(primes) primes ran.
@@ -783,7 +794,7 @@ def _certify_over_primes(kind, k, spaces, primes, ev, at_prime):
         p = plan.pop(0)
         info = ff[str(p)] = {}
         try:
-            reductions = [S.reduce_mod(p) for S in spaces]
+            reductions = reduce(p)
         except BadPrime as exc:  # substitute the next prime
             info["skipped"] = f"{type(exc).__name__}: {exc}"
             plan.extend(itertools.islice(fallback, 1))
@@ -799,6 +810,29 @@ def _certify_over_primes(kind, k, spaces, primes, ev, at_prime):
         return kind(Status.CERTIFIED_FINITE_FIELD, k, None, tuple(certified),
                     ev)
     return None
+
+
+def _denominator_lcm(S: MatrixSubspace) -> int:
+    """The lcm of the denominators in S's canonical basis over Q, or of
+    both parts over Q(i)."""
+    xs = [x for B in S.basis for x in B.entries()]
+    if S.field == QI:
+        xs = [y for x in xs for y in (x.re, x.im)]
+    return lcm(*{x.denominator for x in xs})
+
+
+def _reduction_when_needed(S: MatrixSubspace, p: int, den: int):
+    """A function returning S.reduce_mod(p), den being _denominator_lcm(S).
+
+    When the reduction may raise BadPrime it runs here, so that it raises
+    here with its own text.  It cannot raise when p is a prime that
+    divides no denominator and, over Q(i), -1 is a square mod p; then it
+    runs only when the function is called.
+    """
+    if is_prime(p) and den % p and (S.field == QQ or p == 2 or p % 4 == 1):
+        return lambda: S.reduce_mod(p)
+    Sp = S.reduce_mod(p)
+    return lambda: Sp
 
 
 def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
@@ -938,7 +972,8 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         info["lifted"] = False
         return False
 
-    verdict = _certify_over_primes(SeparationVerdict, k, (L,), primes, ev,
+    verdict = _certify_over_primes(SeparationVerdict, k,
+                                   lambda p: (L.reduce_mod(p),), primes, ev,
                                    at_prime)
     return verdict or SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
 

@@ -5,12 +5,15 @@ Matrices are immutable; entries are stored row-major.  All elimination is
 exact (no floating point) and deterministic: pivots are chosen leftmost
 column first, first nonzero row within the column.
 
-Over Q the elimination runs on Python ints (fraction-free, cf. Bareiss,
-Math. Comp. 22 (1968)): rows are cleared of denominators once, an update
-is p*row_i - f*row_r over the gcd of the result, and pivot rows are divided
-by their pivots at the end.  Each integer row is a nonzero multiple of the
-Fraction loop's row at the same step, so the zero patterns, the pivots and
-the canonical RREF are identical.
+Over Q there is one elimination, on Python ints (fraction-free, cf.
+Bareiss, Math. Comp. 22 (1968)): rows are cleared of denominators once and
+an update is p*row_i - f*row_r over the gcd of the result.  Each integer
+row is a nonzero multiple of the Fraction loop's row at the same step, so
+the zero patterns and the pivots are identical.  Three readers convert
+only what they return: the RREF divides each pivot row by its pivot, the
+kernel reads Fraction(-a, p) at the free columns of the pivot rows, and
+the rank counts the pivots of a forward-only pass without building any
+Fraction.
 """
 
 from __future__ import annotations
@@ -266,13 +269,14 @@ class Mat:
                    [x for r in R for x in r]), tuple(pivots)
 
     def rank(self) -> int:
+        if self.field == QQ:
+            return len(_eliminate_q(self.tolists(), full=False)[1])
         return len(_rref_rows(self.tolists(), self.field)[1])
 
     def kernel(self) -> list:
         """Basis of the right null space as coordinate tuples, in
         free-variable unit-assignment order (free columns ascending)."""
-        R, pivots = _rref_rows(self.tolists(), self.field)
-        return _kernel_from_rref(R, pivots, self.cols, self.field)
+        return _kernel_rows(self.tolists(), self.cols, self.field)[0]
 
     def solve(self, b: Sequence) -> Optional[tuple]:
         """Some exact solution x of A x = b, or None if inconsistent."""
@@ -410,8 +414,12 @@ def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
     return rows, pivots
 
 
-def _rref_rows_q(rows: list) -> tuple[list, list]:
-    """_rref_rows over Q, run on integer multiples of the rows."""
+def _eliminate_q(rows: list, full: bool = True) -> tuple[list, list]:
+    """The elimination over Q: integer multiples of the rows after the
+    Gauss-Jordan loop (after its forward pass only when full is false), and
+    the pivot columns.  Row i < len(pivots) holds pivot i."""
+    if not rows:
+        return [], []
     ints = []
     for row in rows:
         den = lcm(*{x.denominator for x in row})
@@ -421,7 +429,8 @@ def _rref_rows_q(rows: list) -> tuple[list, list]:
     for r, c in _pivot_steps(ints, len(ints[0])):
         prow = ints[r]
         p = prow[c]
-        for i, irow in enumerate(ints):
+        for i in range(0 if full else r + 1, len(ints)):
+            irow = ints[i]
             f = irow[c]
             if not f or i == r:
                 continue
@@ -431,6 +440,12 @@ def _rref_rows_q(rows: list) -> tuple[list, list]:
             g = gcd(*new)
             ints[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
+    return ints, pivots
+
+
+def _rref_rows_q(rows: list) -> tuple[list, list]:
+    """_rref_rows over Q: the integer rows, each divided by its pivot."""
+    ints, pivots = _eliminate_q(rows)
     zero = Fraction(0)
     for i, row in enumerate(ints):
         p = row[pivots[i]] if i < len(pivots) else 1
@@ -438,20 +453,35 @@ def _rref_rows_q(rows: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def _kernel_from_rref(R: list, pivots: list, ncols: int, field: Field) -> list:
+def _kernel_rows(rows: list, ncols: int, field: Field) -> tuple[list, list]:
+    """The kernel basis of a row list, free columns ascending, and the
+    pivots: free column j gives a 1 at j and, at each pivot, minus the
+    RREF's entry in column j.  Over Q that entry is read off the integer
+    rows as Fraction(-a, p), p the row's pivot; no other Fraction is made.
+    """
+    if field == QQ:
+        R, pivots = _eliminate_q(rows)
+
+        def neg(row, j, pc):
+            return Fraction(-row[j], row[pc])
+    else:
+        R, pivots = _rref_rows(rows, field)
+
+        def neg(row, j, pc):
+            return -row[j]
     z, o = field.zero(), field.one()
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for j in free:
+    for j in range(ncols):
+        if j in pivset:
+            continue
         v = [z] * ncols
         v[j] = o
-        for r, pc in enumerate(pivots):
-            coef = R[r][j]
-            if coef:
-                v[pc] = -coef
+        for row, pc in zip(R, pivots):
+            if row[j]:
+                v[pc] = neg(row, j, pc)
         basis.append(tuple(v))
-    return basis
+    return basis, pivots
 
 
 # ------------------------------------------------------------------ wrappers

@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import random
+import time
 
 from .deciders import (
     Status,
@@ -63,10 +64,28 @@ def _row(rid: str, claim: str, computed, expected, soundness: str) -> dict:
     }
 
 
-def report_rows() -> list:
+class _TimedRows(list):
+    """A row list that appends to ``seconds`` how long each row took: the
+    time from the previous append, or from its creation, to its own."""
+
+    def __init__(self, seconds: list):
+        super().__init__()
+        self.seconds = seconds
+        self.last = time.perf_counter()
+
+    def append(self, row):
+        now = time.perf_counter()
+        self.seconds.append(now - self.last)
+        self.last = now
+        super().append(row)
+
+
+def report_rows(seconds: list | None = None) -> list:
+    """The report's rows; with a ``seconds`` list, each row's seconds are
+    appended to it, in row order."""
     from .families import build_family, expected_properties, parse_family
 
-    rows = []
+    rows = [] if seconds is None else _TimedRows(seconds)
 
     # constructor dimensions against each family's exported expectations
     manifest_dims = [
@@ -383,7 +402,7 @@ def report_rows() -> list:
         "the full matrix space (all 16 patterns of Mat(2,2))",
         agree, 16, FF5))
 
-    return rows
+    return list(rows)
 
 
 def _dual_tensor_identity_holds(L: MatrixSubspace, M: MatrixSubspace) -> bool:
@@ -395,8 +414,10 @@ def _dual_tensor_identity_holds(L: MatrixSubspace, M: MatrixSubspace) -> bool:
     return lhs == rhs
 
 
-def build_report() -> dict:
-    rows = report_rows()
+def build_report(seconds: list | None = None) -> dict:
+    """The report; ``seconds``, when given, receives each row's seconds
+    (see report_rows) and leaves the report itself unchanged."""
+    rows = report_rows(seconds)
     return {
         "schema": REPORT_SCHEMA,
         "rows": rows,
@@ -406,13 +427,17 @@ def build_report() -> dict:
     }
 
 
-def format_report_table(report: dict) -> str:
+def format_report_table(report: dict, seconds: list | None = None) -> str:
+    """One line per row; with ``seconds`` from build_report, each line
+    starts with the row's seconds and the summary line gives their sum."""
     lines = []
     width = max(len(r["id"]) for r in report["rows"]) + 2
-    for r in report["rows"]:
+    for i, r in enumerate(report["rows"]):
         flag = "ok  " if r["ok"] else "FAIL"
-        lines.append(f"{flag}  {r['id']:<{width}} {r['soundness']}")
+        timed = "" if seconds is None else f"{seconds[i]:8.3f}s  "
+        lines.append(f"{timed}{flag}  {r['id']:<{width}} {r['soundness']}")
+    total = "" if seconds is None else f" in {sum(seconds):.3f}s"
     lines.append(
-        f"{report['total']} rows, "
+        f"{report['total']} rows{total}, "
         f"{'all passing' if report['all_ok'] else 'FAILURES: ' + ', '.join(report['failures'])}")
     return "\n".join(lines)

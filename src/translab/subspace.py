@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import (NotIdempotent, ShapeMismatch, SingularTransform,
                      VerificationFailed)
 from .fields import Field
-from .matrices import (Mat, _coerce, _kernel_from_rref, _rref_rows,
+from .matrices import (Mat, _coerce, _kernel_rows, _rref_rows,
                        reduce_mod as _reduce_mat)
 
 __all__ = ["MatrixSubspace", "vec", "unvec"]
@@ -206,35 +206,56 @@ class MatrixSubspace:
         dim(result) = rows*cols - dim(self).
 
         One elimination: row i of the pairing matrix is vec(B_i^T), which
-        pairs with vec(T) to Tr(B_i @ T).  Take its kernel with the columns
-        reversed; there the vector of free column j has a 1 at j, zeros at
-        the other free columns and its other nonzeros at pivot columns left
-        of j.  Reversing each vector and their order gives leading 1s at
-        ascending free positions, zeros at the other leading positions and
-        all other nonzeros to the right: a reduced row echelon basis.  The
-        RREF of a subspace is unique, so this is the basis from_generators
-        would build, with the leading positions as its pivots.
+        pairs with vec(T) to Tr(B_i @ T); it is read off B_i's entries by
+        index.  Take its kernel with the columns reversed; there the vector
+        of free column j has a 1 at j, zeros at the other free columns and
+        its other nonzeros at pivot columns left of j.  Reversing each
+        vector and their order gives leading 1s at ascending free
+        positions, zeros at the other leading positions and all other
+        nonzeros to the right: a reduced row echelon basis.  The RREF of a
+        subspace is unique, so this is the basis from_generators would
+        build, with the leading positions as its pivots.
         """
         m, n = self.rows, self.cols
         N = n * m
-        R, piv = _rref_rows([list(vec(B.transpose()))[::-1] for B in self.basis],
-                            self.field)
-        kern = _kernel_from_rref(R, piv, N, self.field)[::-1]
+        f = self.field
+        # position N-1-(j*m + i) of the reversed vec(B^T) holds B[i, j]
+        order = [i * n + j for j in range(n) for i in range(m)][::-1]
+        rows = [[e[t] for t in order] for e in map(Mat.entries, self.basis)]
+        kern, piv = _kernel_rows(rows, N, f)
         taken = set(piv)
         return MatrixSubspace(
-            self.field, n, m, [unvec(self.field, n, m, kv[::-1]) for kv in kern],
+            f, n, m, [unvec(f, n, m, kv[::-1]) for kv in reversed(kern)],
             [k for k in range(N) if N - 1 - k not in taken])
 
     def tensor(self, other: "MatrixSubspace") -> "MatrixSubspace":
         """Span of Kronecker products of basis pairs; block convention:
-        entry (i, j) of the left factor scales a full copy of the right."""
+        entry (i, j) of the left factor scales a full copy of the right.
+
+        No elimination: the products A (x) B of the two canonical bases,
+        sorted by leading position, are the canonical basis.  The first
+        nonzero entry of A (x) B lies in the first nonzero row of A, then
+        of B, and there in the first nonzero column of A, then of B: it is
+        the product of the two leading 1s, at (pivot of A, pivot of B).
+        Every other product A' (x) B' is zero there, since A' is zero at
+        A's pivot or B' is zero at B's pivot.  So the products have
+        distinct leading 1s and zeros at each other's leading positions,
+        which in order of leading position is a reduced row echelon basis
+        of their span.
+        """
         if self.field != other.field:
             raise ShapeMismatch("field mismatch in tensor")
-        R = self.rows * other.rows
-        C = self.cols * other.cols
-        gens = [A.kron(B) for A in self.basis for B in other.basis]
-        return MatrixSubspace.from_generators(
-            gens, rows=R, cols=C, field=self.field)
+        m2, n1, n2 = other.rows, self.cols, other.cols
+        lead = []
+        for A, pa in zip(self.basis, self._pivots):
+            i1, j1 = divmod(pa, n1)
+            for B, pb in zip(other.basis, other._pivots):
+                i2, j2 = divmod(pb, n2)
+                lead.append(((i1 * m2 + i2) * n1 * n2 + j1 * n2 + j2, A, B))
+        lead.sort(key=lambda t: t[0])
+        return MatrixSubspace(
+            self.field, self.rows * m2, n1 * n2,
+            [A.kron(B) for _, A, B in lead], [pos for pos, _, _ in lead])
 
     def product_span(self, other: "MatrixSubspace") -> "MatrixSubspace":
         """span{A @ B}; by bilinearity the products of basis elements span."""

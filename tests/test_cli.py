@@ -141,6 +141,20 @@ def test_report_subcommand(tmp_path, capsys):
     assert json.loads(out_file.read_text()) == obj
 
 
+def test_report_timings_leave_stdout_unchanged(capsys):
+    code, out, err = invoke(["report", "paper"], capsys)
+    tcode, tout, terr = invoke(["report", "paper", "--timings"], capsys)
+    assert (tcode, tout) == (code, out)
+    rows = json.loads(out)["rows"]
+    lines = terr.splitlines()
+    assert len(lines) == len(rows) + 1 == len(err.splitlines())
+    for line, plain, row in zip(lines, err.splitlines(), rows):
+        seconds, rest = line.split("s  ", 1)
+        assert float(seconds) >= 0 and rest == plain
+        assert row["id"] in rest
+    assert " rows in " in lines[-1] and lines[-1].endswith("all passing")
+
+
 def test_cli_verdict_always_prints_soundness(capsys):
     code, out, _ = invoke(["check", "toeplitz:3", "-k", "1"], capsys)
     obj = json.loads(out)

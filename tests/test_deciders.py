@@ -35,7 +35,8 @@ from translab.deciders import (_choose_final_vector, _ff_low_rank_threshold,
                                _flag_violation, _projective_tuples_generic,
                                _separation_scan_ff,
                                _verify_separation_violation)
-from translab.errors import BudgetExceeded, DimensionTooLarge, ShapeMismatch
+from translab.errors import (BadPrime, BudgetExceeded, DimensionTooLarge,
+                             ShapeMismatch)
 from translab import modp
 from translab.families import (
     dual_transitive_8dim,
@@ -887,6 +888,26 @@ def test_bad_prime_fallback():
     assert "skipped" in v.evidence["ff"]["5"]
     assert v.status == Status.CERTIFIED_FINITE_FIELD
     assert v.primes == (7, 11)
+
+
+def test_preannihilator_bad_prime_skip_text_matches_eager_reduction():
+    # Lp is reduced mod p only where a route needs it, but its BadPrime is
+    # still found at the same prime with the text of reducing it there;
+    # L is checked first
+    L = minimal_k_transitive(3, 3, 1)
+    S = Mat.from_rows(QQ, [[1, Fraction(1, 5), 0], [0, 1, 0], [0, 0, 1]])
+    T = Mat.from_rows(QQ, [[1, 0, 0], [Fraction(1, 5), 1, 0], [0, 0, 1]])
+    for L2, first in ((L.equivalence_transform(S, T), "Lp"),
+                      (L.equivalence_transform(S, Mat.identity(QQ, 3)), "L")):
+        Lp = L2.preannihilator()
+        with pytest.raises(BadPrime) as exc:
+            (L2 if first == "L" else Lp).reduce_mod(5)
+        if first == "Lp":
+            L2.reduce_mod(5)
+        v = check_k_transitive(L2, 1, primes=(5, 7))
+        assert v.evidence["ff"]["5"] == {"skipped": f"BadPrime: {exc.value}"}
+        assert v.status == Status.CERTIFIED_FINITE_FIELD
+        assert v.primes == (7, 11)
 
 
 def test_exhausted_fallback_primes_leave_both_verdicts_unknown():

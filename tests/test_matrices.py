@@ -319,3 +319,31 @@ def test_rref_rows_over_q_matches_fraction_loop(rows):
     if rows:
         A = Mat(QQ, len(rows), len(rows[0]), [x for r in rows for x in r])
         assert A.rank() == len(want[1])
+
+
+def fraction_kernel(rows, ncols):
+    """Kernel basis read off fraction_rref_rows: for each free column j, a
+    1 at j and minus the pivot rows' column-j entries at their pivots."""
+    R, pivots = fraction_rref_rows([list(r) for r in rows])
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][j]
+        basis.append(tuple(v))
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_rows(), st.integers(0, 7))
+def test_kernel_and_rank_over_q_match_fraction_loop(rows, n_if_empty):
+    # mixed denominators, zero rows and rank-deficient lists: the kernel
+    # and rank readers give what the Fraction loop's RREF gives
+    ncols = len(rows[0]) if rows else n_if_empty
+    A = Mat(QQ, len(rows), ncols, [x for r in rows for x in r])
+    kern = A.kernel()
+    assert kern == fraction_kernel(rows, ncols)
+    assert all(type(x) is Fraction for v in kern for x in v)
+    assert A.rank() == len(fraction_rref_rows([list(r) for r in rows])[1])
+    assert A.rank() + len(kern) == ncols

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from translab.errors import (BadPrime, NotIdempotent, ShapeMismatch,
                              SingularTransform)
@@ -355,3 +355,63 @@ def test_reduce_mod_matches_canonicalized_reduction():
             assert R.basis == rebuilt.basis and R.dim == L.dim
             assert R.field == GF(q)
     assert reduced >= 24
+
+
+_den_q = st.builds(Fraction, st.integers(-4, 4),
+                   st.sampled_from([1, 2, 3, 5, 7, 12, 35, 10**9 + 7]))
+
+
+@st.composite
+def _denominator_space(draw):
+    """A subspace of Mat(m, n) over Q or Q(i), m and n in 1..4, whose
+    canonical basis carries a denominator other than 1."""
+    field = draw(st.sampled_from([QQ, QI]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    elem = (_den_q if field == QQ else
+            st.builds(GaussianRational, _den_q, _den_q))
+    d = draw(st.integers(1, m * n))
+    gens = [Mat(field, m, n, draw(st.lists(elem, min_size=m * n,
+                                           max_size=m * n)))
+            for _ in range(d)]
+    L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
+    parts = [x for B in L.basis for x in B.entries()]
+    if field == QI:
+        parts = [y for x in parts for y in (x.re, x.im)]
+    assume(any(x.denominator != 1 for x in parts))
+    return L
+
+
+@settings(max_examples=150, deadline=None)
+@given(_denominator_space())
+def test_preannihilator_reference_on_denominator_bases(L):
+    test_preannihilator_matches_two_elimination_reference.hypothesis.inner_test(L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GF(3), GF(5), QQ, QI]), st.data())
+def test_tensor_is_canonical_basis_of_kronecker_products(field, data):
+    # the sorted Kronecker products must be the basis from_generators
+    # builds, zero-dimensional factors included
+    def space():
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        if field.is_finite:
+            elem = st.sampled_from(list(field.elements()))
+        elif field == QQ:
+            elem = _small_q
+        else:
+            elem = st.builds(GaussianRational, _small_q, _small_q)
+        d = data.draw(st.integers(0, m * n))
+        gens = [Mat(field, m, n, data.draw(st.lists(elem, min_size=m * n,
+                                                    max_size=m * n)))
+                for _ in range(d)]
+        return MatrixSubspace.from_generators(gens, rows=m, cols=n,
+                                              field=field)
+
+    L, M = space(), space()
+    got = L.tensor(M)
+    want = MatrixSubspace.from_generators(
+        [A.kron(B) for A in L.basis for B in M.basis],
+        rows=L.rows * M.rows, cols=L.cols * M.cols, field=field)
+    assert got == want
+    assert got._pivots == want._pivots
+    assert got.dim == L.dim * M.dim
