@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .deciders import (
     check_k_separating,
@@ -160,7 +161,8 @@ def _build_parser() -> _Parser:
                     choices=["paper", "full"])
     sp.add_argument("-o", "--output", help="also write the JSON here")
     sp.add_argument("--timings", action="store_true",
-                    help="give each row's seconds in the table on stderr")
+                    help="give each row's seconds in the table on stderr, "
+                    "and the process CPU seconds in its summary")
     return p
 
 
@@ -259,13 +261,15 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "report":
         seconds = [] if args.timings else None
+        cpu_s = time.process_time()
         report = build_report(seconds)
+        cpu_s = time.process_time() - cpu_s
         text = dumps(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.write(text)
-        print(format_report_table(report, seconds), file=sys.stderr)
+        print(format_report_table(report, seconds, cpu_s), file=sys.stderr)
         return 0 if report["all_ok"] else 1
     raise _UsageError(f"unknown command {cmd!r}")
 

@@ -10,12 +10,15 @@ ladder, and every snapped candidate is verified exactly; only candidates
 that pass exact verification are ever reported, so the search can miss
 witnesses but can never fabricate one.  Restarts run lazily in seed order,
 one numeric_low_rank_coefficients call each on a shared generator, and the
-search stops at the first restart whose snapped candidate verifies.  Each
-iterate's truncated SVD serves its residual check and the next update.
+search stops at the first restart whose snapped candidate verifies.  The
+float basis and its Gram pseudo-inverse are formed once per search and
+shared by its restarts.  Each iterate's truncated SVD serves its residual
+check and the next update.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Optional
 
@@ -51,6 +54,18 @@ def _basis_to_floats(space: MatrixSubspace) -> np.ndarray:
     raise ValueError("numeric search runs over Q or Qi only")
 
 
+def _float_setup(space: MatrixSubspace) -> tuple:
+    """(flat, flat_h, gram_pinv): the float basis, its conjugate and the
+    pseudo-inverse of its Gram matrix, which every restart shares."""
+    flat = _basis_to_floats(space)
+    flat_h = flat.conj()
+    return flat, flat_h, np.linalg.pinv(flat @ flat_h.T)
+
+
+# (space, _float_setup(space)) while search_low_rank_element runs on space
+_SEARCH_SETUP: ContextVar = ContextVar("_SEARCH_SETUP", default=None)
+
+
 def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
     U, s, Vh = np.linalg.svd(T, full_matrices=False)
     s = s.copy()
@@ -65,14 +80,16 @@ def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
                                   ) -> list[np.ndarray]:
     """Converged float coefficient vectors (unit norm, deterministic sign),
     one per restart that reached the residual tolerance.  Starting points
-    are drawn from rng, or from a generator seeded with seed."""
+    are drawn from rng, or from a generator seeded with seed.  Called by
+    search_low_rank_element on its space, it reuses the search's float
+    set-up; otherwise it forms its own."""
     D = space.dim
     if D == 0 or k < 1:
         return []
     m, n = space.rows, space.cols
-    flat = _basis_to_floats(space)
-    flat_h = flat.conj()
-    gram_pinv = np.linalg.pinv(flat @ flat_h.T)
+    held = _SEARCH_SETUP.get()
+    flat, flat_h, gram_pinv = (held[1] if held and held[0] is space
+                               else _float_setup(space))
     if rng is None:
         rng = np.random.default_rng(seed)
     complex_field = flat.dtype == np.complex128
@@ -138,11 +155,12 @@ def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
 
     Returns (coefficients, matrix) with exact entries, or None.  Failure is
     always possible; a returned element is exactly verified.  Restarts run
-    lazily in seed order, one numeric_low_rank_coefficients call each, and
-    the search returns at the first restart whose snapped candidate
-    verifies, so later restarts never run.  A given stats dict receives
-    integer counts: restarts run, restarts converged, candidates rejected
-    as zero or for rank > k, and the ladder denominator of the accepted snap.
+    lazily in seed order, one numeric_low_rank_coefficients call each on
+    the search's one _float_setup, and the search returns at the first
+    restart whose snapped candidate verifies, so later restarts never run.
+    A given stats dict receives integer counts: restarts run, restarts
+    converged, candidates rejected as zero or for rank > k, and the ladder
+    denominator of the accepted snap.
     """
     if stats is None:
         stats = {}
@@ -150,22 +168,27 @@ def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
     if space.dim == 0 or k < 1:
         return None
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        # the shared rng gives the draws of one all-restart call
-        found = numeric_low_rank_coefficients(
-            space, k, iterations=iterations, restarts=1, tol=tol, rng=rng)
-        stats["restarts"] += 1
-        stats["converged"] += len(found)
-        for c in found:
-            c[np.abs(c) < 1e-10] = 0.0
-            for bound in DENOMINATOR_LADDER:
-                if bound > max_denominator:
-                    break
-                coeffs = _snap(space, c, bound)
-                T = verify_low_rank_candidate(space, coeffs, k)
-                if T is not None:
-                    stats["denominator"] = bound
-                    return coeffs, T
-                stats["rejected_zero" if not any(coeffs)
-                      else "rejected_rank"] += 1
+    token = _SEARCH_SETUP.set((space, _float_setup(space)))
+    try:
+        for _ in range(restarts):
+            # the shared rng gives the draws of one all-restart call
+            found = numeric_low_rank_coefficients(
+                space, k, iterations=iterations, restarts=1, tol=tol,
+                rng=rng)
+            stats["restarts"] += 1
+            stats["converged"] += len(found)
+            for c in found:
+                c[np.abs(c) < 1e-10] = 0.0
+                for bound in DENOMINATOR_LADDER:
+                    if bound > max_denominator:
+                        break
+                    coeffs = _snap(space, c, bound)
+                    T = verify_low_rank_candidate(space, coeffs, k)
+                    if T is not None:
+                        stats["denominator"] = bound
+                        return coeffs, T
+                    stats["rejected_zero" if not any(coeffs)
+                          else "rejected_rank"] += 1
+    finally:
+        _SEARCH_SETUP.reset(token)
     return None

@@ -7,21 +7,33 @@ exact by construction, not by tolerance.  Enumeration orders are documented
 and deterministic; chunked scans return the same winner a sequential scan
 would (first index in enumeration order).
 
-Matrix products of residues run through BLAS in a type that holds them
-exactly (_mod_matmul): over inner dimension K every entry is below
-K (p-1)^2, so float32 serves below 2^24, float64 below 2^53 and an int64
-product below 2^63.  They stay unreduced (cf. Dumas, Giorgi and Pernet,
-"Dense linear algebra over word-size prime fields", ACM TOMS 35, 2008).
+Every scan operand is a balanced residue, in [-h, h] for h = p // 2 (at
+p = 2 the kernel's reductions give {-1, 0}).  A sum of K products of
+balanced residues has magnitude at most K h^2, against K (p-1)^2 for
+residues in [0, p): about a quarter, which keeps every product and every
+elimination below in a narrow integer type (cf. the centred
+representatives of Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields", ACM TOMS 35, 2008).  The scans form their
+products without BLAS, one integer contraction (np.einsum) per
+representative row, in the narrowest signed integer dtype holding
+K h^2: int8 at the shipped primes' scan shapes, int16, int32 or int64
+beyond.  So no BLAS worker thread runs on the scan path.  Only the
+definitional scan's compression (below) and rank_one_pair_scan multiply
+through BLAS, in _mod_matmul on residues in [0, p): over inner dimension
+K every entry is below K (p-1)^2, so float32 serves below 2^24, float64
+below 2^53 and an int64 product below 2^63.
 
 Ranks come from a swap-free elimination that reduces lazily, on a
-batch-last layout (C, R, B) of B matrices with R rows and C columns that
-each scan builds with one GEMM W (m R x n) @ X^T (n x B) per
-representative row: only the pivot column and pivot row are taken mod p,
-and every other entry absorbs at most C updates, each a product of two
-residues.  Entries of magnitude at most U on input (p - 1 for residues,
-K (p-1)^2 for products) stay within U + C (p-1)^2, and the kernel works
-in the narrowest signed integer dtype holding that: int16 for the
-shipped primes at the scan shapes, int32 or int64 beyond.
+batch-last layout (C, R, B) of B matrices with R rows and C columns,
+which the scans write directly: only the pivot column and pivot row are
+reduced, to balanced residues, and every other entry absorbs at most one
+update per eliminated column, each a product of two balanced residues.
+Over `lead` eliminated columns, entries of magnitude at most U on input
+(h for residues, K h^2 for products) stay within U + lead h^2, and a
+reduction adds h before it divides, so the kernel works in the narrowest
+signed integer dtype holding U + lead h^2 + h.  For reduced input that is
+int8 for p = 5 up to 30 columns and for p = 7 up to 13, int16, int32 or
+int64 beyond, and a ValueError past int64.
 
 The definitional scan ranks compressed matrices first.  Each of its
 matrices M has D rows and t = m k columns, so rank M <= t even when D is
@@ -89,23 +101,81 @@ def inverse_table(p: int) -> np.ndarray:
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the integer array x into [0, p) in place and return it.
-    Floor division by a scalar is vectorised, which makes this several
-    times faster than np.remainder on small integer types."""
-    x -= (x // p) * p
+    """Reduce the integer array x in place to balanced residues, of
+    magnitude at most p // 2, and return it; x's dtype must hold
+    |x| + p // 2.  Floor division by a scalar is vectorised, which makes
+    this several times faster than np.remainder on small integer types."""
+    t = x + p // 2
+    t //= p
+    t *= p
+    x -= t
     return x
 
 
+_INT_DTYPES = tuple((np.dtype(t), int(np.iinfo(t).max))
+                    for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _int_dtype(top: int, p: int) -> np.dtype:
+    """Narrowest signed integer dtype holding every magnitude up to top."""
+    for dt, most in _INT_DTYPES:
+        if top <= most:
+            return dt
+    raise ValueError(f"p = {p} is too large for the numpy rank kernel")
+
+
+def _scan_dtype(inner: int, p: int) -> np.dtype:
+    """Dtype of the scan products over this inner dimension: a sum of
+    inner products of balanced residues is at most inner (p // 2)^2."""
+    return _int_dtype(inner * (p // 2) ** 2, p)
+
+
+def _rank_dtype(p: int, lead: int, bound: int) -> np.dtype:
+    """Working dtype of _eliminate over `lead` columns of entries of
+    magnitude at most bound: they stay within bound + lead (p // 2)^2,
+    and a reduction adds p // 2 (see the module docstring)."""
+    h = p // 2
+    return _int_dtype(bound + lead * h * h + h, p)
+
+
+@functools.cache
+def _balanced(p: int, dt: np.dtype) -> np.ndarray:
+    """The balanced residue of each of 0, 1, .., p - 1, in dt, read-only:
+    taking from it balances an array of residues in one call."""
+    table = _reduce(np.arange(p, dtype=np.int64), p).astype(dt)
+    table.flags.writeable = False
+    return table
+
+
+def _pivot_scales(inv: np.ndarray, p: int, dt: np.dtype) -> np.ndarray:
+    """scales[v + p // 2] = inv[v] as a balanced residue in dt, for every
+    balanced residue v, from an inverse table inv mod p (entries in
+    [0, p) or balanced).  Shifting the index keeps it nonnegative, where
+    take is several times faster."""
+    h = p // 2
+    return _balanced(p, dt).take(inv.take(np.arange(-h, p - h)))
+
+
+@functools.cache
+def _inverse_scales(p: int, dt: np.dtype) -> np.ndarray:
+    """_pivot_scales of inverse_table(p), read-only."""
+    table = _pivot_scales(inverse_table(p), p, dt)
+    table.flags.writeable = False
+    return table
+
+
 def _basis_rows(basis: np.ndarray, q: int) -> np.ndarray:
-    """W[i*D + d, t] = basis[d, i, t] mod q, as int32: W @ x^T holds
-    (A_d x)_i at row i*D + d, every basis matrix applied at once."""
+    """W[i*D + d, t] = basis[d, i, t] as a balanced residue mod q, in
+    _scan_dtype(n, q): W @ x^T holds (A_d x)_i at row i*D + d, every
+    basis matrix applied at once."""
     D, m, n = basis.shape
-    return (basis.transpose(1, 0, 2).reshape(m * D, n) % q).astype(np.int32)
+    rows = basis.transpose(1, 0, 2).reshape(m * D, n) % q
+    return _balanced(q, _scan_dtype(n, q)).take(rows.astype(np.intp))
 
 
 def _product_dtype(inner: int, p: int) -> np.dtype:
-    """Narrowest dtype holding a product of residues over this inner
-    dimension exactly (see the module docstring)."""
+    """Narrowest dtype holding a product of residues in [0, p) over this
+    inner dimension exactly (see the module docstring)."""
     bound = inner * (p - 1) ** 2
     for dt, exact in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
         if bound < 1 << exact:
@@ -113,24 +183,11 @@ def _product_dtype(inner: int, p: int) -> np.dtype:
     raise ValueError(f"p = {p} is too large for an exact product")
 
 
-def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Exact a @ b for 2-D arrays of residues mod p, not reduced mod p,
-    in _product_dtype; out, when given, must have that dtype."""
+def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b through BLAS for 2-D arrays of residues in [0, p), not
+    reduced mod p, in _product_dtype."""
     dt = _product_dtype(a.shape[1], p)
-    return np.matmul(a.astype(dt, copy=False), b.astype(dt, copy=False),
-                     out=out)
-
-
-def _rank_dtype(p: int, C: int, bound: int | None = None) -> np.dtype:
-    """Narrowest signed integer dtype holding every entry of the lazy
-    elimination: |x| <= bound + C (p-1)^2, where bound is the input
-    entries' largest magnitude (p - 1 for residues)."""
-    top = (p - 1 if bound is None else bound) + C * (p - 1) ** 2
-    for dt in (np.int16, np.int32, np.int64):
-        if top <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    raise ValueError(f"p = {p} is too large for the numpy rank kernel")
+    return np.matmul(a.astype(dt, copy=False), b.astype(dt, copy=False))
 
 
 def batched_rank_mod_p(mats: np.ndarray, p: int,
@@ -138,12 +195,12 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     """Ranks of a batch of matrices over GF(p).
 
     mats has shape (B, R, C) and integer entries in an integer or float
-    dtype, such as the unreduced products of _mod_matmul (float32 exact
-    below 2^24, float64 below 2^53, int64 below 2^63).  One min/max
-    pass reads their largest magnitude U, which _eliminate's dtype bound
-    U + C (p-1)^2 takes in; only entries too wide for int64 are reduced
-    first.  This is the only place that transposes: _eliminate works on
-    the (C, R, B) view, so a batch built in that layout costs no copy.
+    dtype, reduced or not, such as the unreduced scan products.  One
+    min/max pass reads their largest magnitude U, which _eliminate's
+    dtype bound U + C (p // 2)^2 + p // 2 takes in; only entries too wide
+    for int64 are reduced first.  inv, when given, is p's inverse table.
+    This is the only place that transposes: _eliminate works on the
+    (C, R, B) view, so a batch built in that layout costs no copy.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -152,7 +209,8 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     if B == 0 or R == 0 or C == 0:
         return np.zeros(B, dtype=np.int64)
     bound = max(-int(mats.min()), int(mats.max()))
-    if bound + C * (p - 1) ** 2 > np.iinfo(np.int64).max:
+    h = p // 2
+    if bound + C * h * h + h > _INT_DTYPES[-1][1]:
         mats, bound = mats % p, p - 1
     return _eliminate(mats.transpose(2, 1, 0), C, p, inv, bound)[0]
 
@@ -162,15 +220,17 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
     """Eliminate the first `lead` columns of a batch laid out batch-last,
     mats[c, r, b] = entry (r, c) of matrix b, whose entries are integers
     of magnitude at most bound, in any dtype that holds them exactly;
-    they are cast once into the working dtype.
+    they are cast once into the working dtype.  inv, when given, is p's
+    inverse table, with entries in [0, p) or balanced.
 
     No row swaps: the pivot of column c is the first row nonzero there mod
     p, and only columns c+1.. are updated, which also cancels the pivot
     row's own trailing entries mod p, so it is never chosen again; a
     matrix without a pivot gets a zero update because inv[0] == 0.  Only
-    the pivot column and row are reduced, so over at most `lead` updates,
-    each a product of two residues, every entry stays within
-    bound + lead (p-1)^2, which the dtype of _rank_dtype holds exactly.
+    the pivot column and row are reduced, to balanced residues, so over at
+    most `lead` updates, each a product of two of them, every entry stays
+    within bound + lead (p // 2)^2, which the dtype of _rank_dtype holds
+    together with a reduction's headroom.
 
     Returns (ranks of those columns, working copy of shape (C, R, B)).  The
     copy's columns lead.. then hold, mod p, zero on every pivot row and the
@@ -179,13 +239,14 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
     """
     C, R, B = mats.shape
     # allocation order matters to the peak RSS under glibc malloc:
-    # allocating the working copy before rank and inv raised the peak of
-    # `translab report paper` from 170 MB to 202 MB
+    # allocating the working copy before its small side arrays raised the
+    # peak of `translab report paper` from 170 MB to 202 MB
     rank = np.zeros(B, dtype=np.int64)
-    if inv is None:
-        inv = inverse_table(p)
     dt = _rank_dtype(p, lead, bound)
-    inv = inv.astype(dt)
+    if inv is None or inv is inverse_table(p):
+        scales = _inverse_scales(p, dt)
+    else:
+        scales = _pivot_scales(inv, p, dt)
     A = np.empty((C, R, B), dtype=dt)
     A[...] = mats
     if B == 0 or R == 0:
@@ -194,7 +255,7 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
     maxrank = min(R, C)
     # the largest weight w = R - r over a column's nonzero rows r marks
     # its pivot row R - w, at flat offset start[w] of the (R, B) column
-    # slab; a zero column (w = 0) takes row R - 1, whose scale is inv[0]
+    # slab; a zero column (w = 0) takes row R - 1, whose scale is 0
     weight = np.arange(R, 0, -1, dtype=np.min_scalar_type(R))[:, None]
     start = (R - np.maximum(np.arange(R + 1), 1)) * B
     # scratch for the rank-one update of the trailing columns
@@ -212,7 +273,9 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
             break
         at = start.take(top)
         at += arange_b
-        scale = inv.take(col.reshape(-1).take(at))
+        scale = col.reshape(-1).take(at)
+        scale += p // 2
+        scale = scales.take(scale)
         tail = A[c + 1:]
         piv = _reduce(tail.reshape(C - c - 1, R * B).take(at, axis=1), p)
         piv *= scale
@@ -351,17 +414,19 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
             blk[:, m:, n:] = re
         m, n = 2 * m, 2 * n
         chunk = max(1, chunk // (m * n))
-    # flat[c*m + i, d] = gen[d, i, c]: flat @ coords^T is the batch in the
-    # kernel's (C, R, B) layout
-    flat = gen.transpose(2, 1, 0).reshape(n * m, -1).astype(np.int32)
+    # flat[c*m + i, d] = gen[d, i, c], balanced: flat @ coords^T is the
+    # batch in the kernel's (C, R, B) layout
+    balanced = _balanced(p, _scan_dtype(len(gen), p))
+    flat = balanced.take(gen.transpose(2, 1, 0).reshape(n * m, -1))
     inv = inverse_table(p)
     for codes in iter_projective_blocks(D, q, chunk):
         coords = codes
         if omega is not None:
             codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
             coords = np.concatenate([codes // p, codes % p], axis=1)
-        mats = _mod_matmul(flat, coords.T, p).reshape(n, m, -1)
-        ranks = batched_rank_mod_p(mats.transpose(2, 1, 0), p, inv)
+        mats = np.einsum("rd,db->rb", flat, balanced.take(coords.T))
+        ranks = batched_rank_mod_p(mats.reshape(n, m, -1).transpose(2, 1, 0),
+                                   p, inv)
         yield codes, ranks if omega is None else ranks // 2
 
 
@@ -426,24 +491,29 @@ def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
     """(m k + len(unit), R, B) batch in the kernel's layout over (B, k, n)
     representatives X, for the R basis matrices in W (see _basis_rows):
     column j*m + i, row d of matrix b is (A_d x_j)_i for row x_j of X_b,
-    one product per row j.  The rows of unit, residues of shape (u, R, 1),
-    fill the columns after them in every matrix.  Entries are unreduced,
-    below n (q-1)^2."""
+    one integer contraction per row j, in W's dtype.  The rows of unit,
+    balanced residues of shape (u, R, 1), fill the columns after them in
+    every matrix.  Entries are unreduced, of magnitude at most
+    n (q // 2)^2."""
     B, k, n = block.shape
     R = W.shape[0] // m
     extra = 0 if unit is None else len(unit)
-    out = np.empty((k * m + extra, R, B), dtype=_product_dtype(n, q))
+    out = np.empty((k * m + extra, R, B), dtype=W.dtype)
+    # xs[j, t, b] = entry t of row j of X_b, balanced, contiguous along b
+    xs = _balanced(q, W.dtype).take(block.transpose(1, 2, 0))
     for j in range(k):
-        _mod_matmul(W, block[:, j].T, q,
-                    out=out[j * m:(j + 1) * m].reshape(m * R, B))
+        np.einsum("rt,tb->rb", W, xs[j],
+                  out=out[j * m:(j + 1) * m].reshape(m * R, B))
     if extra:
         out[k * m:] = unit
     return out
 
 
 # the prefix path of _input_ranks pays off once it saves about this many
-# cell updates on a block; below it, its extra numpy calls cost more
-_PREFIX_MIN_SAVING = 1 << 17
+# cell updates on a block; below it, its extra numpy calls cost more.  On
+# the int8 kernel the report's and certify-scan's blocks break even
+# between savings of 4.7e5 and 6.2e5
+_PREFIX_MIN_SAVING = 1 << 19
 
 
 def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
@@ -490,10 +560,10 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
     # M[c, r, g]: row r, column c of [A_r P_g | A_r e_t for t in used]
     unit = W.reshape(m, R, n)[:, :, used].transpose(2, 0, 1)
     M = _input_products(pre[starts], W, m, q, unit.reshape(u * m, R, 1))
-    rank1, work = _eliminate(M, lead, q, inv, n * (q - 1) ** 2)
-    # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t]; sums of u products
-    # of residues fit dt
-    dt = _rank_dtype(q, u)
+    rank1, work = _eliminate(M, lead, q, inv, n * (q // 2) ** 2)
+    # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t], balanced; sums of
+    # u products of balanced residues fit dt
+    dt = _scan_dtype(u, q)
     comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, R, G)
     # rows that are zero for every t (the pivot rows among them) add
     # nothing to any rank: move the others first, in order, and keep as
@@ -503,11 +573,11 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
     comp = np.take_along_axis(comp, order[None, None], axis=2)
     # qm2[i, r, b]: entry (r, i) of Q M2 for point b, in the kernel's
     # layout, unreduced
-    xs = x[:, used].T.astype(dt)
+    xs = _balanced(q, dt).take(x[:, used].T)
     qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
     for j in range(1, u):
         qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
-    rank2 = _eliminate(qm2, m, q, inv, u * (q - 1) ** 2)[0]
+    rank2 = _eliminate(qm2, m, q, inv, u * (q // 2) ** 2)[0]
     return np.repeat(rank1, runs) + rank2
 
 
@@ -609,7 +679,7 @@ def separation_scan(basis: np.ndarray, k: int,
         B = block.shape[0]
         # M[c, d, b]: row d, column c of the matrix of representative b
         M = _input_products(block, W, m, q, unit)
-        rest = _eliminate(M, lead, q, inv, n * (q - 1) ** 2)[1][lead:]
+        rest = _eliminate(M, lead, q, inv, n * (q // 2) ** 2)[1][lead:]
         # stacked[t, i*D + d, b] = (A_c e_t)_i mod p, c the left-kernel
         # vector row d of representative b now holds; n columns keep the
         # kernel's column loop short

@@ -427,9 +427,12 @@ def build_report(seconds: list | None = None) -> dict:
     }
 
 
-def format_report_table(report: dict, seconds: list | None = None) -> str:
+def format_report_table(report: dict, seconds: list | None = None,
+                        cpu_s: float | None = None) -> str:
     """One line per row; with ``seconds`` from build_report, each line
-    starts with the row's seconds and the summary line gives their sum."""
+    starts with the row's seconds and the summary line gives their sum,
+    followed by ``cpu_s``, the process CPU seconds of the build, when
+    given.  CPU above the wall seconds is time other threads spent."""
     lines = []
     width = max(len(r["id"]) for r in report["rows"]) + 2
     for i, r in enumerate(report["rows"]):
@@ -437,6 +440,8 @@ def format_report_table(report: dict, seconds: list | None = None) -> str:
         timed = "" if seconds is None else f"{seconds[i]:8.3f}s  "
         lines.append(f"{timed}{flag}  {r['id']:<{width}} {r['soundness']}")
     total = "" if seconds is None else f" in {sum(seconds):.3f}s"
+    if seconds is not None and cpu_s is not None:
+        total += f" ({cpu_s:.3f}s CPU)"
     lines.append(
         f"{report['total']} rows{total}, "
         f"{'all passing' if report['all_ok'] else 'FAILURES: ' + ', '.join(report['failures'])}")

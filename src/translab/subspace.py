@@ -18,15 +18,40 @@ vectorization of A transposed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (NotIdempotent, ShapeMismatch, SingularTransform,
                      VerificationFailed)
-from .fields import Field
+from .fields import QQ, Field
 from .matrices import (Mat, _coerce, _kernel_rows, _rref_rows,
                        reduce_mod as _reduce_mat)
 
 __all__ = ["MatrixSubspace", "vec", "unvec"]
+
+
+def _combine_q(coeffs: Sequence, basis: Sequence[Mat], size: int) -> list:
+    """The entries of sum(c_i * B_i) over Q, fraction-free: every term's
+    integer numerator over one common denominator, one Fraction per entry
+    at the end instead of a Fraction product and sum per term."""
+    terms = []
+    for c, B in zip(coeffs, basis):
+        if c:
+            c = _coerce(QQ, c)
+            nz = [(i, x.numerator, x.denominator)
+                  for i, x in enumerate(B.entries()) if x]
+            den = lcm(*(d for _, _, d in nz))
+            terms.append((c.numerator, c.denominator * den,
+                          [(i, a * (den // d)) for i, a, d in nz]))
+    common = lcm(*(d for _, d, _ in terms))
+    acc = [0] * size
+    for num, d, ints in terms:
+        f = num * (common // d)
+        for i, a in ints:
+            acc[i] += f * a
+    zero = Fraction(0)
+    return [Fraction(a, common) if a else zero for a in acc]
 
 
 def vec(A: Mat) -> tuple:
@@ -120,6 +145,9 @@ class MatrixSubspace:
         """The combination sum(c_i * basis_i)."""
         if len(coeffs) != self.dim:
             raise ShapeMismatch(f"expected {self.dim} coefficients")
+        if self.field == QQ:
+            return Mat(QQ, self.rows, self.cols,
+                       _combine_q(coeffs, self.basis, self.rows * self.cols))
         acc = [self.field.zero()] * (self.rows * self.cols)
         for c, B in zip(coeffs, self.basis):
             if c:

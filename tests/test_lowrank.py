@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from translab.deciders import Status, _lift_to_qi, check_k_transitive
 from translab.families import minimal_k_transitive, toeplitz_space
+from translab.fields import QQ
 from translab.lowrank import (
     DENOMINATOR_LADDER,
     _basis_to_floats,
@@ -17,6 +18,8 @@ from translab.lowrank import (
     search_low_rank_element,
     verify_low_rank_candidate,
 )
+from translab.matrices import Mat
+from translab.subspace import MatrixSubspace
 
 SPACES = {
     "toeplitz3-Q": lambda: toeplitz_space(3).preannihilator(),
@@ -148,3 +151,38 @@ def test_search_runs_one_public_call_per_restart(monkeypatch):
         # the shared generator gives the restarts of one all-restart call
         assert stats["converged"] == len(real(
             V, 2, seed=seed, restarts=counts["restarts"]))
+
+
+def test_search_forms_its_float_setup_once(monkeypatch):
+    # the float basis and the Gram pseudo-inverse are formed once per
+    # search and shared by its restarts, witnesses and counts unchanged;
+    # a direct public call outside a search forms its own
+    from translab import lowrank
+
+    real = lowrank._float_setup
+    setups = []
+
+    def counted(space):
+        setups.append(space)
+        return real(space)
+
+    monkeypatch.setattr(lowrank, "_float_setup", counted)
+    for n, seed, coeffs, counts in PINNED:
+        setups.clear()
+        V = toeplitz_space(n).preannihilator()
+        stats = {}
+        hit = search_low_rank_element(V, 2, seed=seed, stats=stats)
+        assert setups == [V]
+        assert hit == _reference_search(V, 2, seed)
+        assert hit[0] == tuple(Fraction(c) for c in coeffs)
+        assert stats == dict(counts, denominator=1)
+        setups.clear()
+        numeric_low_rank_coefficients(V, 2, seed=seed, restarts=1)
+        assert setups == [V]
+    # a miss runs every restart on the one set-up: span{I} has no element
+    # of rank 1
+    setups.clear()
+    V = MatrixSubspace.from_generators([Mat.identity(QQ, 2)])
+    stats = {}
+    assert search_low_rank_element(V, 1, seed=0, stats=stats) is None
+    assert stats["restarts"] == 10 and setups == [V]

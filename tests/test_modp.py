@@ -1,5 +1,6 @@
 """The numpy mod-p lane, cross-checked against the exact kernel."""
 
+import math
 import random
 
 import numpy as np
@@ -356,3 +357,170 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
                         deficient += int((want < m * k).sum())
             assert deficient, (p, m, n, k)
             assert not forced or (k - 1) * m in leads, (p, m, n, k)
+
+
+def test_batched_rank_matches_exact_on_negative_entries():
+    # the kernel reduces to balanced residues, so entries of either sign,
+    # unreduced and in any dtype, must give the ranks of their residues
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7, 43, 8191):
+        f = GF(p)
+        for R, C in [(6, 4), (4, 6), (8, 8), (1, 5), (33, 3)]:
+            arr = _batch_with_rank_profile(rng, p, R, C)
+            want = [_exact_rank(f, M) for M in arr]
+            shifts = np.array([[rng.randrange(-9, 1) for _ in range(C)]
+                               for _ in range(R)], dtype=np.int64)
+            balanced = (arr + p // 2) % p - p // 2
+            assert balanced.min() < 0
+            for neg in (balanced, arr + p * shifts,
+                        arr - p * (1 << 40), arr - (1 << 53) // p * p):
+                assert (neg % p == arr).all()
+                for dt in (np.int64, np.float64):
+                    if np.abs(neg).max() >= 1 << 53 and dt is np.float64:
+                        continue
+                    ranks = batched_rank_mod_p(neg.astype(dt), p)
+                    assert ranks.tolist() == want, (p, R, C)
+
+
+def _growth_batch(p, C):
+    """Two C x C matrices of balanced residues on which the lazy
+    elimination grows one entry as far as it can: rows 0..C-2 are e_i plus
+    h = p // 2 in the last column, and the last row holds -h in every
+    other column, so each of the C - 1 pivots moves its last entry by h^2,
+    always the same way.  That entry then ends at zero mod p in the first matrix (rank C - 1)
+    and not in the second (rank C)."""
+    h = p // 2
+    M = np.zeros((2, C, C), dtype=np.int64)
+    M[:, np.arange(C - 1), np.arange(C - 1)] = 1
+    M[:, :C - 1, C - 1] = h
+    M[:, C - 1, :C - 1] = -h
+    grown = (C - 1) * h * h
+    for i, last in enumerate((-grown, 1 - grown)):
+        M[i, C - 1, C - 1] = (last + h) % p - h
+    return M, [C - 1, C]
+
+
+# (p, working dtype up to the limit): the kernel holds
+# bound + C (p // 2)^2 + p // 2 for input entries of magnitude at most
+# bound; 43 and 8191 never run in int8, so their first switch is tested
+_DTYPE_SWITCHES = [(2, np.int8), (3, np.int8), (5, np.int8), (7, np.int8),
+                   (11, np.int8), (43, np.int16), (8191, np.int32)]
+
+
+@pytest.mark.parametrize("p,dt", _DTYPE_SWITCHES)
+def test_batched_rank_at_each_dtype_switch(monkeypatch, p, dt):
+    # C columns on both sides of the limit of dt, for entries of magnitude
+    # at most h: the working dtype must widen exactly there, and the ranks
+    # must stay exact on matrices that grow an entry as far as the lazy
+    # elimination can, and on random balanced ones
+    from translab import modp
+
+    h = p // 2
+    limit = (np.iinfo(dt).max - 2 * h) // (h * h)
+    wider = np.dtype({np.int8: np.int16, np.int16: np.int32,
+                      np.int32: np.int64}[dt])
+    used = []
+    eliminate = modp._eliminate
+
+    def spy(mats, lead, p, inv, bound):
+        out = eliminate(mats, lead, p, inv, bound)
+        used.append(out[1].dtype)
+        return out
+
+    monkeypatch.setattr(modp, "_eliminate", spy)
+    rng = random.Random(p)
+    f = GF(p)
+    for C, want_dt in ((limit, np.dtype(dt)), (limit + 1, wider)):
+        grown, want = _growth_batch(p, C)
+        rand = np.array([[[rng.randrange(-h, h + 1) for _ in range(C)]
+                          for _ in range(3)] for _ in range(4)])
+        used.clear()
+        assert batched_rank_mod_p(grown, p).tolist() == want
+        assert batched_rank_mod_p(rand, p).tolist() == [
+            _exact_rank(f, M) for M in rand]
+        assert used == [want_dt, want_dt], (p, C)
+
+
+def test_scan_products_are_exact():
+    # the definitional and separation products, and the projective
+    # products over GF(p) and over GF(p^2) real forms, against int64
+    # products mod p
+    from translab import modp
+
+    rng = np.random.default_rng(23)
+    for q, m, n, k, D, B in [(2, 3, 4, 2, 5, 40), (3, 2, 5, 3, 4, 33),
+                             (5, 8, 8, 1, 32, 64), (7, 3, 3, 2, 6, 50),
+                             (11, 2, 4, 2, 3, 20), (43, 2, 3, 1, 4, 20),
+                             (8191, 2, 3, 2, 3, 20)]:
+        basis = rng.integers(0, q, size=(D, m, n))
+        block = rng.integers(0, q, size=(B, k, n)).astype(np.int32)
+        W = modp._basis_rows(basis, q)
+        unit = W.reshape(m, D, n).transpose(2, 0, 1).reshape(n * m, D, 1)
+        got = modp._input_products(block, W, m, q, unit)
+        assert got.dtype == modp._scan_dtype(n, q)
+        assert np.abs(got).max() <= n * (q // 2) ** 2
+        # want[j*m + i, d, b] = (A_d x_j)_i, then (A_d e_t)_i
+        want = np.einsum("dit,bjt->jidb", basis, block).reshape(k * m, D, B)
+        units = basis.transpose(2, 1, 0).reshape(n * m, D, 1)
+        assert ((got[:k * m] - want) % q == 0).all(), q
+        assert ((got[k * m:] - units) % q == 0).all(), q
+    for q, omega, m, n, D in [(5, None, 3, 4, 3), (7, None, 4, 4, 2),
+                              (9, 2, 2, 3, 3), (25, 2, 3, 3, 2)]:
+        p = math.isqrt(q) if omega else q
+        basis = rng.integers(0, q, size=(D, m, n))
+        seen = []
+        real = modp.batched_rank_mod_p
+
+        def spy(mats, p, inv=None):
+            seen.append(np.array(mats))
+            return real(mats, p, inv)
+
+        modp.batched_rank_mod_p = spy
+        try:
+            blocks = [(codes.copy(), seen[-1]) for codes, _ in
+                      modp._ranked_blocks(basis, q, 16, omega)]
+        finally:
+            modp.batched_rank_mod_p = real
+        assert sum(len(c) for c, _ in blocks) == projective_count(D, q)
+        for codes, mats in blocks:
+            if omega is None:
+                want = np.einsum("bd,dij->bij", codes, basis)
+            else:
+                # (a + b w)(x + y w) = (a x + omega b y) + (a y + b x) w,
+                # and X + w Y has the real form [[X, omega Y], [Y, X]]
+                a, b = codes // p, codes % p
+                x, y = basis // p, basis % p
+                X = (np.einsum("bd,dij->bij", a, x)
+                     + omega * np.einsum("bd,dij->bij", b, y))
+                Y = (np.einsum("bd,dij->bij", a, y)
+                     + np.einsum("bd,dij->bij", b, x))
+                want = np.block([[X, omega * Y], [Y, X]])
+            assert mats.shape == want.shape
+            assert ((mats - want) % p == 0).all(), q
+
+
+def test_scans_multiply_without_blas(monkeypatch):
+    # every scan product is an integer contraction; the only BLAS product
+    # left on a scan is the definitional scan's one compression
+    from translab import modp
+
+    calls = []
+    real = modp._mod_matmul
+
+    def spy(a, b, p):
+        calls.append((a.shape, b.shape))
+        return real(a, b, p)
+
+    monkeypatch.setattr(modp, "_mod_matmul", spy)
+    rng = np.random.default_rng(31)
+    # phi-block-4-1's shape: 32 basis matrices in Mat(8, 8) over GF(5)
+    basis = rng.integers(0, 5, size=(32, 8, 8))
+    rows = 8 + modp._oversampling(5)
+    surjectivity_scan(basis, 1, 5)
+    assert calls == [((rows, 32), (32, 64))]
+    calls.clear()
+    min_rank_scan(rng.integers(0, 5, size=(4, 4, 4)), 5)
+    min_rank_scan(rng.integers(0, 9, size=(3, 3, 3)), 9, omega=2)
+    separation_scan(rng.integers(0, 5, size=(5, 3, 3)), 2, 5)
+    surjectivity_scan(rng.integers(0, 7, size=(9, 3, 4)), 2, 7)
+    assert calls == []

@@ -388,6 +388,29 @@ def test_preannihilator_reference_on_denominator_bases(L):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_element_over_q_matches_fraction_loop(data):
+    # the fraction-free combination must give the entries of one Fraction
+    # product and sum per term, zero and integer coefficients included
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    gens = [Mat(QQ, m, n, data.draw(st.lists(_den_q, min_size=m * n,
+                                             max_size=m * n)))
+            for _ in range(data.draw(st.integers(1, m * n)))]
+    L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=QQ)
+    coeffs = data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(-6, 6), _den_q),
+        min_size=L.dim, max_size=L.dim))
+    want = [Fraction(0)] * (L.rows * L.cols)
+    for c, B in zip(coeffs, L.basis):
+        for i, x in enumerate(B.entries()):
+            want[i] += Fraction(c) * x
+    got = L.element(coeffs).entries()
+    assert list(got) == want
+    assert all(type(x) is Fraction for x in got)
+    assert [str(x) for x in got] == [str(x) for x in want]
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from([GF(3), GF(5), QQ, QI]), st.data())
 def test_tensor_is_canonical_basis_of_kronecker_products(field, data):
     # the sorted Kronecker products must be the basis from_generators
