@@ -18,7 +18,6 @@ check and the next update.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from fractions import Fraction
 from typing import Optional
 
@@ -62,10 +61,6 @@ def _float_setup(space: MatrixSubspace) -> tuple:
     return flat, flat_h, np.linalg.pinv(flat @ flat_h.T)
 
 
-# (space, _float_setup(space)) while search_low_rank_element runs on space
-_SEARCH_SETUP: ContextVar = ContextVar("_SEARCH_SETUP", default=None)
-
-
 def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
     U, s, Vh = np.linalg.svd(T, full_matrices=False)
     s = s.copy()
@@ -76,20 +71,19 @@ def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
 def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
                                   seed: int = 0, iterations: int = 300,
                                   restarts: int = 10, tol: float = 1e-9,
-                                  rng: Optional[np.random.Generator] = None
+                                  rng: Optional[np.random.Generator] = None,
+                                  _setup: Optional[tuple] = None
                                   ) -> list[np.ndarray]:
     """Converged float coefficient vectors (unit norm, deterministic sign),
     one per restart that reached the residual tolerance.  Starting points
-    are drawn from rng, or from a generator seeded with seed.  Called by
-    search_low_rank_element on its space, it reuses the search's float
-    set-up; otherwise it forms its own."""
+    are drawn from rng, or from a generator seeded with seed.  _setup is
+    _float_setup(space) when the caller already holds it, as
+    search_low_rank_element does for its restarts."""
     D = space.dim
     if D == 0 or k < 1:
         return []
     m, n = space.rows, space.cols
-    held = _SEARCH_SETUP.get()
-    flat, flat_h, gram_pinv = (held[1] if held and held[0] is space
-                               else _float_setup(space))
+    flat, flat_h, gram_pinv = _setup or _float_setup(space)
     if rng is None:
         rng = np.random.default_rng(seed)
     complex_field = flat.dtype == np.complex128
@@ -168,27 +162,24 @@ def search_low_rank_element(space: MatrixSubspace, k: int, *, seed: int = 0,
     if space.dim == 0 or k < 1:
         return None
     rng = np.random.default_rng(seed)
-    token = _SEARCH_SETUP.set((space, _float_setup(space)))
-    try:
-        for _ in range(restarts):
-            # the shared rng gives the draws of one all-restart call
-            found = numeric_low_rank_coefficients(
-                space, k, iterations=iterations, restarts=1, tol=tol,
-                rng=rng)
-            stats["restarts"] += 1
-            stats["converged"] += len(found)
-            for c in found:
-                c[np.abs(c) < 1e-10] = 0.0
-                for bound in DENOMINATOR_LADDER:
-                    if bound > max_denominator:
-                        break
-                    coeffs = _snap(space, c, bound)
-                    T = verify_low_rank_candidate(space, coeffs, k)
-                    if T is not None:
-                        stats["denominator"] = bound
-                        return coeffs, T
-                    stats["rejected_zero" if not any(coeffs)
-                          else "rejected_rank"] += 1
-    finally:
-        _SEARCH_SETUP.reset(token)
+    setup = _float_setup(space)
+    for _ in range(restarts):
+        # the shared rng gives the draws of one all-restart call
+        found = numeric_low_rank_coefficients(
+            space, k, iterations=iterations, restarts=1, tol=tol, rng=rng,
+            _setup=setup)
+        stats["restarts"] += 1
+        stats["converged"] += len(found)
+        for c in found:
+            c[np.abs(c) < 1e-10] = 0.0
+            for bound in DENOMINATOR_LADDER:
+                if bound > max_denominator:
+                    break
+                coeffs = _snap(space, c, bound)
+                T = verify_low_rank_candidate(space, coeffs, k)
+                if T is not None:
+                    stats["denominator"] = bound
+                    return coeffs, T
+                stats["rejected_zero" if not any(coeffs)
+                      else "rejected_rank"] += 1
     return None

@@ -147,19 +147,13 @@ def _balanced(p: int, dt: np.dtype) -> np.ndarray:
     return table
 
 
-def _pivot_scales(inv: np.ndarray, p: int, dt: np.dtype) -> np.ndarray:
-    """scales[v + p // 2] = inv[v] as a balanced residue in dt, for every
-    balanced residue v, from an inverse table inv mod p (entries in
-    [0, p) or balanced).  Shifting the index keeps it nonnegative, where
-    take is several times faster."""
-    h = p // 2
-    return _balanced(p, dt).take(inv.take(np.arange(-h, p - h)))
-
-
 @functools.cache
 def _inverse_scales(p: int, dt: np.dtype) -> np.ndarray:
-    """_pivot_scales of inverse_table(p), read-only."""
-    table = _pivot_scales(inverse_table(p), p, dt)
+    """scales[v + p // 2] = v^-1 mod p as a balanced residue in dt, for
+    every balanced residue v (0 for v = 0), read-only.  Shifting the index
+    keeps it nonnegative, where take is several times faster."""
+    h = p // 2
+    table = _balanced(p, dt).take(inverse_table(p).take(np.arange(-h, p - h)))
     table.flags.writeable = False
     return table
 
@@ -198,7 +192,8 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     dtype, reduced or not, such as the unreduced scan products.  One
     min/max pass reads their largest magnitude U, which _eliminate's
     dtype bound U + C (p // 2)^2 + p // 2 takes in; only entries too wide
-    for int64 are reduced first.  inv, when given, is p's inverse table.
+    for int64 are reduced first.  inv is accepted for compatibility and
+    not read: the pivot scales come from one cached table per prime.
     This is the only place that transposes: _eliminate works on the
     (C, R, B) view, so a batch built in that layout costs no copy.
     """
@@ -212,21 +207,20 @@ def batched_rank_mod_p(mats: np.ndarray, p: int,
     h = p // 2
     if bound + C * h * h + h > _INT_DTYPES[-1][1]:
         mats, bound = mats % p, p - 1
-    return _eliminate(mats.transpose(2, 1, 0), C, p, inv, bound)[0]
+    return _eliminate(mats.transpose(2, 1, 0), C, p, bound)[0]
 
 
 def _eliminate(mats: np.ndarray, lead: int, p: int,
-               inv: np.ndarray | None, bound: int) -> tuple:
+               bound: int) -> tuple:
     """Eliminate the first `lead` columns of a batch laid out batch-last,
     mats[c, r, b] = entry (r, c) of matrix b, whose entries are integers
     of magnitude at most bound, in any dtype that holds them exactly;
-    they are cast once into the working dtype.  inv, when given, is p's
-    inverse table, with entries in [0, p) or balanced.
+    they are cast once into the working dtype.
 
     No row swaps: the pivot of column c is the first row nonzero there mod
     p, and only columns c+1.. are updated, which also cancels the pivot
     row's own trailing entries mod p, so it is never chosen again; a
-    matrix without a pivot gets a zero update because inv[0] == 0.  Only
+    matrix without a pivot gets a zero update because 0 has scale 0.  Only
     the pivot column and row are reduced, to balanced residues, so over at
     most `lead` updates, each a product of two of them, every entry stays
     within bound + lead (p // 2)^2, which the dtype of _rank_dtype holds
@@ -243,10 +237,7 @@ def _eliminate(mats: np.ndarray, lead: int, p: int,
     # peak of `translab report paper` from 170 MB to 202 MB
     rank = np.zeros(B, dtype=np.int64)
     dt = _rank_dtype(p, lead, bound)
-    if inv is None or inv is inverse_table(p):
-        scales = _inverse_scales(p, dt)
-    else:
-        scales = _pivot_scales(inv, p, dt)
+    scales = _inverse_scales(p, dt)
     A = np.empty((C, R, B), dtype=dt)
     A[...] = mats
     if B == 0 or R == 0:
@@ -418,7 +409,6 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
     # batch in the kernel's (C, R, B) layout
     balanced = _balanced(p, _scan_dtype(len(gen), p))
     flat = balanced.take(gen.transpose(2, 1, 0).reshape(n * m, -1))
-    inv = inverse_table(p)
     for codes in iter_projective_blocks(D, q, chunk):
         coords = codes
         if omega is not None:
@@ -426,7 +416,7 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
             coords = np.concatenate([codes // p, codes % p], axis=1)
         mats = np.einsum("rd,db->rb", flat, balanced.take(coords.T))
         ranks = batched_rank_mod_p(mats.reshape(n, m, -1).transpose(2, 1, 0),
-                                   p, inv)
+                                   p)
         yield codes, ranks if omega is None else ranks // 2
 
 
@@ -516,8 +506,8 @@ def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
 _PREFIX_MIN_SAVING = 1 << 19
 
 
-def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
-                 inv: np.ndarray) -> np.ndarray:
+def _input_ranks(block: np.ndarray, W: np.ndarray, m: int,
+                 q: int) -> np.ndarray:
     """Ranks of the matrices of _input_products(block, W, m, q), with one
     elimination per run of representatives that share their first k - 1
     rows.
@@ -551,7 +541,7 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
         direct = 2 * G > B
     if direct:
         mats = _input_products(block, W, m, q)
-        return batched_rank_mod_p(mats.transpose(2, 1, 0), q, inv)
+        return batched_rank_mod_p(mats.transpose(2, 1, 0), q)
     lead = (k - 1) * m
     runs = np.diff(starts, append=B)
     x = block[:, k - 1]
@@ -560,7 +550,7 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
     # M[c, r, g]: row r, column c of [A_r P_g | A_r e_t for t in used]
     unit = W.reshape(m, R, n)[:, :, used].transpose(2, 0, 1)
     M = _input_products(pre[starts], W, m, q, unit.reshape(u * m, R, 1))
-    rank1, work = _eliminate(M, lead, q, inv, n * (q // 2) ** 2)
+    rank1, work = _eliminate(M, lead, q, n * (q // 2) ** 2)
     # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t], balanced; sums of
     # u products of balanced residues fit dt
     dt = _scan_dtype(u, q)
@@ -577,7 +567,7 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int, q: int,
     qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
     for j in range(1, u):
         qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
-    rank2 = _eliminate(qm2, m, q, inv, u * (q // 2) ** 2)[0]
+    rank2 = _eliminate(qm2, m, q, u * (q // 2) ** 2)[0]
     return np.repeat(rank1, runs) + rank2
 
 
@@ -610,7 +600,6 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     subspace in enumeration order, or None.
     """
     D, m, n = basis.shape
-    inv = inverse_table(q)
     points = 0
     target = m * k
     full = _basis_rows(basis, q)
@@ -622,11 +611,11 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
         probe = _basis_rows(
             _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
     for block in iter_rref_blocks(n, k, q, chunk):
-        ranks = _input_ranks(block, probe, m, q, inv)
+        ranks = _input_ranks(block, probe, m, q)
         points += block.shape[0]
         bad = np.nonzero(ranks < target)[0]
         if sketched and bad.size:
-            full_ranks = _input_ranks(block[bad], full, m, q, inv)
+            full_ranks = _input_ranks(block[bad], full, m, q)
             bad = bad[full_ranks < target]
         if bad.size:
             i = int(bad[0])
@@ -667,7 +656,6 @@ def separation_scan(basis: np.ndarray, k: int,
     D, m, n = basis.shape
     j = k - 1
     lead = j * m
-    inv = inverse_table(q)
     W = _basis_rows(basis, q)
     # unit[t*m + i, d, 0] = (A_d e_t)_i
     unit = W.reshape(m, D, n).transpose(2, 0, 1).reshape(n * m, D, 1)
@@ -679,12 +667,12 @@ def separation_scan(basis: np.ndarray, k: int,
         B = block.shape[0]
         # M[c, d, b]: row d, column c of the matrix of representative b
         M = _input_products(block, W, m, q, unit)
-        rest = _eliminate(M, lead, q, inv, n * (q // 2) ** 2)[1][lead:]
+        rest = _eliminate(M, lead, q, n * (q // 2) ** 2)[1][lead:]
         # stacked[t, i*D + d, b] = (A_c e_t)_i mod p, c the left-kernel
         # vector row d of representative b now holds; n columns keep the
         # kernel's column loop short
         stacked = rest.reshape(n, m * D, B)
-        ranks = batched_rank_mod_p(stacked.transpose(2, 1, 0), q, inv)
+        ranks = batched_rank_mod_p(stacked.transpose(2, 1, 0), q)
         bad = np.nonzero(ranks < n - j)[0]
         if bad.size:
             return block[int(bad[0])].copy()
