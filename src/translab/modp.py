@@ -59,8 +59,25 @@ its index in QuadExtDomain.elements().  A matrix X + w Y in Mat(m, n)
 acts on GF(p)^(2n) as the real form [[X, omega Y], [Y, X]], whose rank
 over GF(p) is twice the rank of X + w Y over GF(p^2), so the ranks come
 from batched_rank_mod_p.  Blocks then hold about a chunk of real-form
-entries rather than a chunk of points: each real form has 4 m n entries,
-and smaller blocks keep the scan's peak memory low.
+entries rather than a chunk of points: each real form has 4 m n entries.
+
+Every scan ranks its logical blocks in tiles.  A logical block is what a
+scan enumerates at once: chunk points, or a set number of cells for the
+GF(p^2) real forms and for the separation scan's merged blocks of flags.
+It fixes the points a scan reports and, in the definitional scan, the
+prefix route above.  A tile is a stretch of consecutive points
+of one block whose products hold at most _TILE_CELLS = 2^20 cells (one
+point at least); a tile of the prefix route holds whole runs.  Each tile
+forms its own products, the kernel's working copy and its scratch, so a
+scan's working set no longer grows with chunk: at phi-block-4-1's shape,
+blocks of 32,768 points with 96-cell products, tracemalloc's peak per
+definitional scan is 4.0 MiB against 12.0 MiB for whole blocks, and the
+peak RSS of `translab report paper` about 43 MB against 52 MB.  Ranks
+are independent per point, and tiles run in enumeration order with the
+first tile that settles a scan ending it, so the answer and witness are
+those of whole blocks; points still counts whole blocks (over GF(p^2),
+the position of a threshold hit), so nothing a scan returns depends on
+the tile.
 """
 
 from __future__ import annotations
@@ -375,12 +392,29 @@ def _merge_blocks(blocks: Iterator[np.ndarray],
         yield np.concatenate(buf)
 
 
+# the scans rank each logical block in tiles of at most this many product
+# cells, so that a tile's products, the kernel's working copy and its
+# scratch stay near a core's L2 cache (see the module docstring)
+_TILE_CELLS = 1 << 20
+
+
+def _tiles(B: int, cells: int) -> list:
+    """(lo, hi) bounds of the tiles of a block of B points of `cells`
+    product cells each: the fewest tiles of at most _TILE_CELLS cells, or
+    of one point, with sizes differing by at most one point."""
+    per = max(1, _TILE_CELLS // max(cells, 1))
+    count = max(1, -(-B // per))
+    return [(i * B // count, (i + 1) * B // count) for i in range(count)]
+
+
 # ------------------------------------------------------------------- scans
 
 def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
                    omega: int | None):
-    """(coefficient block, ranks) pairs over the projective combinations
-    of the basis matrices, in the order of iter_projective_blocks.
+    """(coefficient block, tiles) pairs over the projective combinations
+    of the basis matrices, in the order of iter_projective_blocks; tiles
+    yields (offset, ranks) for the consecutive tiles of the block (see
+    _tiles), ranked only as it is read.
 
     basis: (D, m, n) array of element codes in [0, q).  With omega None, q
     is prime and blocks hold chunk points.  Otherwise q = p^2, w^2 = omega,
@@ -409,15 +443,20 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
     # batch in the kernel's (C, R, B) layout
     balanced = _balanced(p, _scan_dtype(len(gen), p))
     flat = balanced.take(gen.transpose(2, 1, 0).reshape(n * m, -1))
+
+    def tiles(coords):
+        for lo, hi in _tiles(len(coords), m * n):
+            ranks = batched_rank_mod_p(
+                np.einsum("rd,db->rb", flat, balanced.take(coords[lo:hi].T))
+                .reshape(n, m, -1).transpose(2, 1, 0), p)
+            yield lo, ranks if omega is None else ranks // 2
+
     for codes in iter_projective_blocks(D, q, chunk):
         coords = codes
         if omega is not None:
             codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
             coords = np.concatenate([codes // p, codes % p], axis=1)
-        mats = np.einsum("rd,db->rb", flat, balanced.take(coords.T))
-        ranks = batched_rank_mod_p(mats.reshape(n, m, -1).transpose(2, 1, 0),
-                                   p)
-        yield codes, ranks if omega is None else ranks // 2
+        yield codes, tiles(coords)
 
 
 def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
@@ -439,23 +478,24 @@ def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
     """
     best_rank = best_coeffs = None
     points = 0
-    for block, ranks in _ranked_blocks(basis, q, chunk, omega):
+    for block, tiles in _ranked_blocks(basis, q, chunk, omega):
         points += len(block)
-        if threshold is not None:
-            hit = np.nonzero(ranks <= threshold)[0]
-            if hit.size:
-                i = int(hit[0])
-                if omega is not None:
-                    points += i + 1 - len(block)
-                return int(ranks[i]), block[i].copy(), points
-            continue
-        local = int(ranks.min())
-        if best_rank is None or local < best_rank:
-            i = int(np.argmax(ranks == local))
-            best_rank = local
-            best_coeffs = block[i].copy()
-            if best_rank == 1:
-                return best_rank, best_coeffs, points
+        for lo, ranks in tiles:
+            if threshold is not None:
+                hit = np.nonzero(ranks <= threshold)[0]
+                if hit.size:
+                    i = int(hit[0])
+                    if omega is not None:
+                        points += lo + i + 1 - len(block)
+                    return int(ranks[i]), block[lo + i].copy(), points
+                continue
+            local = int(ranks.min())
+            if best_rank is None or local < best_rank:
+                i = int(np.argmax(ranks == local))
+                best_rank = local
+                best_coeffs = block[lo + i].copy()
+                if best_rank == 1:
+                    return best_rank, best_coeffs, points
     return best_rank, best_coeffs, points
 
 
@@ -499,34 +539,93 @@ def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
     return out
 
 
-# the prefix path of _input_ranks pays off once it saves about this many
+# the prefix path of _input_tiles pays off once it saves about this many
 # cell updates on a block; below it, its extra numpy calls cost more.  On
 # the int8 kernel the report's and certify-scan's blocks break even
 # between savings of 4.7e5 and 6.2e5
 _PREFIX_MIN_SAVING = 1 << 19
 
 
-def _input_ranks(block: np.ndarray, W: np.ndarray, m: int,
-                 q: int) -> np.ndarray:
-    """Ranks of the matrices of _input_products(block, W, m, q), with one
-    elimination per run of representatives that share their first k - 1
-    rows.
+def _prefix_ranks(pre: np.ndarray, runs: np.ndarray, x: np.ndarray,
+                  W: np.ndarray, m: int, q: int,
+                  unit: np.ndarray) -> np.ndarray:
+    """Ranks of the matrices of _input_products over whole runs of
+    representatives that share their first k - 1 rows, with one
+    elimination per run.  pre (G, k - 1, n) holds each run's first k - 1
+    rows and runs the run lengths.  unit (u m, R, 1) holds the columns
+    [A_d e_t] for u unit vectors e_t, as balanced residues, and x (B, u)
+    each point's last row on them; its other entries are zero.
 
     Write the matrix of X as [M1 | M2], M1 = [A_d P] for the first k - 1
     rows P and M2 = [A_d x] for the last row x.  For Q spanning the left
     kernel of M1, rank [M1 | M2] = rank M1 + rank (Q M2).  One _eliminate
     of [A_d P | A_d e_t] per run, with lead (k - 1) m, gives rank M1 and
     leaves Q [A_d e_t] on the rows without a pivot and zero on the pivot
-    rows, for every unit vector e_t on which some x of the block is
-    nonzero; Q M2 is then sum_t x_t Q [A_d e_t], an m-column matrix per
-    point.  Runs are maximal blocks of consecutive equal prefixes, so any
-    order of the block gives the same ranks.
+    rows; Q M2 is then sum_t x_t Q [A_d e_t], an m-column matrix per
+    point.
+    """
+    G, u = len(runs), x.shape[1]
+    R, n = W.shape[0] // m, W.shape[1]
+    lead = pre.shape[1] * m
+    # the products M[c, r, g]: row r, column c of [A_r P_g | unit]
+    rank1, work = _eliminate(_input_products(pre, W, m, q, unit), lead, q,
+                             n * (q // 2) ** 2)
+    # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t], balanced; sums of
+    # u products of balanced residues fit dt
+    dt = _scan_dtype(u, q)
+    comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, R, G)
+    # rows that are zero for every t (the pivot rows among them) add
+    # nothing to any rank: move the others first, in order, and keep as
+    # many rows as the fullest run needs
+    live = comp.any(axis=(0, 1))
+    order = np.argsort(~live, axis=0, kind="stable")[:live.sum(0).max()]
+    comp = np.take_along_axis(comp, order[None, None], axis=2)
+    # qm2[i, r, b]: entry (r, i) of Q M2 for point b, in the kernel's
+    # layout, unreduced
+    xs = _balanced(q, dt).take(x.T)
+    qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
+    for j in range(1, u):
+        qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
+    rank2 = _eliminate(qm2, m, q, u * (q // 2) ** 2)[0]
+    return np.repeat(rank1, runs) + rank2
 
-    Each point then costs m(m-1)/2 column updates and u m column
+
+def _run_tiles(runs: np.ndarray, B: int, per_run: int,
+               per_point: int) -> list:
+    """(g0, g1) bounds of consecutive runs grouped into tiles of at most
+    _TILE_CELLS cells, a run of r points costing per_run + r per_point
+    cells; a run above that is a tile of its own."""
+    G = len(runs)
+    if G * per_run + B * per_point <= _TILE_CELLS:
+        return [(0, G)]
+    cost = np.cumsum(runs * per_point + per_run)
+    bounds, g0 = [], 0
+    while g0 < G:
+        top = (int(cost[g0 - 1]) if g0 else 0) + _TILE_CELLS
+        g1 = max(g0 + 1, int(np.searchsorted(cost, top, side="right")))
+        bounds.append((g0, g1))
+        g0 = g1
+    return bounds
+
+
+def _input_tiles(block: np.ndarray, W: np.ndarray, m: int, q: int):
+    """(offset, ranks) for consecutive tiles of the block: the ranks of
+    the matrices of _input_products(block, W, m, q), tile by tile, each
+    tile formed and ranked only as it is read.
+
+    Consecutive representatives share their first k - 1 rows in runs, and
+    the prefix route (_prefix_ranks) eliminates those rows once per run:
+    each point then costs m(m-1)/2 column updates and u m column
     combinations (u <= n - k + 1 unit vectors) instead of t(t-1)/2 column
     updates, t = m k.  Blocks where that saves less than
     _PREFIX_MIN_SAVING cell updates, or whose runs average fewer than two
-    points, take the direct route.
+    points, take the direct route.  Runs are maximal blocks of consecutive
+    equal prefixes, so any order of the block gives the same ranks.
+
+    The route is chosen once per block.  Direct tiles hold at most
+    _TILE_CELLS product cells (see _tiles); prefix tiles end on run
+    boundaries, so that no run's M1 is eliminated twice, and hold at most
+    _TILE_CELLS cells of M1 and Q M2 products unless one run does.
     """
     B, k, n = block.shape
     R = W.shape[0] // m
@@ -540,35 +639,29 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int,
         G = len(starts)
         direct = 2 * G > B
     if direct:
-        mats = _input_products(block, W, m, q)
-        return batched_rank_mod_p(mats.transpose(2, 1, 0), q)
-    lead = (k - 1) * m
+        for lo, hi in _tiles(B, t * R):
+            yield lo, batched_rank_mod_p(
+                _input_products(block[lo:hi], W, m, q).transpose(2, 1, 0), q)
+        return
     runs = np.diff(starts, append=B)
     x = block[:, k - 1]
     used = np.flatnonzero(x.any(axis=0))
     u = len(used)
-    # M[c, r, g]: row r, column c of [A_r P_g | A_r e_t for t in used]
     unit = W.reshape(m, R, n)[:, :, used].transpose(2, 0, 1)
-    M = _input_products(pre[starts], W, m, q, unit.reshape(u * m, R, 1))
-    rank1, work = _eliminate(M, lead, q, n * (q // 2) ** 2)
-    # comp[t, i, r, g]: entry (r, i) of Q_g [A_d e_t], balanced; sums of
-    # u products of balanced residues fit dt
-    dt = _scan_dtype(u, q)
-    comp = _reduce(work[lead:], q).astype(dt, copy=False).reshape(u, m, R, G)
-    # rows that are zero for every t (the pivot rows among them) add
-    # nothing to any rank: move the others first, in order, and keep as
-    # many rows as the fullest run needs
-    live = comp.any(axis=(0, 1))
-    order = np.argsort(~live, axis=0, kind="stable")[:live.sum(0).max()]
-    comp = np.take_along_axis(comp, order[None, None], axis=2)
-    # qm2[i, r, b]: entry (r, i) of Q M2 for point b, in the kernel's
-    # layout, unreduced
-    xs = _balanced(q, dt).take(x[:, used].T)
-    qm2 = np.repeat(comp[0], runs, axis=2) * xs[0]
-    for j in range(1, u):
-        qm2 += np.repeat(comp[j], runs, axis=2) * xs[j]
-    rank2 = _eliminate(qm2, m, q, u * (q // 2) ** 2)[0]
-    return np.repeat(rank1, runs) + rank2
+    unit = unit.reshape(u * m, R, 1)
+    for g0, g1 in _run_tiles(runs, B, (t - m + u * m) * R, m * R):
+        lo = int(starts[g0])
+        hi = int(starts[g1]) if g1 < G else B
+        yield lo, _prefix_ranks(pre[starts[g0:g1]], runs[g0:g1],
+                                x[lo:hi, used], W, m, q, unit)
+
+
+def _input_ranks(block: np.ndarray, W: np.ndarray, m: int,
+                 q: int) -> np.ndarray:
+    """Ranks of the matrices of _input_products(block, W, m, q): every
+    tile of _input_tiles in one array, with no copy for one tile."""
+    tiles = [ranks for _, ranks in _input_tiles(block, W, m, q)]
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 
 
 def surjectivity_scan(basis: np.ndarray, k: int, q: int,
@@ -580,20 +673,24 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     checks that A -> A @ X maps L onto Mat(m, k), i.e. the stacked
     (D, m*k) coefficient matrix M has full rank t = m*k.
 
-    When D > t + s(q) (see _oversampling), each block is first ranked on
-    the t + s(q) rows of S M, for the fixed S of _sketch, by applying the
-    compressed basis S A once formed.  rank(S M) <= rank M <= t, so a point
-    whose compressed rank is t passes; the block's other points are the
-    candidates, ranked again in one call on their full D-row products, and
-    the first candidate whose full rank is below t is the block's first
-    failure.  The result is therefore the same for every S.
+    Blocks are ranked tile by tile, in enumeration order (see the module
+    docstring and _input_tiles), and the first tile holding a failure
+    ends the scan.  When D > t + s(q) (see _oversampling), each tile is
+    first ranked on the t + s(q) rows of S M, for the fixed S of _sketch,
+    by applying the compressed basis S A once formed.
+    rank(S M) <= rank M <= t, so a point whose compressed rank is t
+    passes; the tile's other points are the candidates, ranked again on
+    their full D-row products, and the first candidate whose full rank is
+    below t is the tile's first failure.  The result is therefore the
+    same for every S.
 
-    Both rankings go through _input_ranks, which eliminates the first
-    k - 1 rows of each run of representatives once and ranks only the
-    m-column remainder Q M2 of each point (rank M = rank M1 + rank Q M2,
-    Q spanning the left kernel of M1).  It returns every point's own rank,
-    so blocks, points, candidates and the first failure are those of
-    ranking each M directly.
+    Both rankings eliminate the first k - 1 rows of each run of
+    representatives once and rank only the m-column remainder Q M2 of
+    each point (rank M = rank M1 + rank Q M2, Q spanning the left kernel
+    of M1) where that saves work.  Every point gets its own rank, so
+    points, candidates and the first failure are those of ranking each M
+    directly, whatever the tiles; points counts every point of the blocks
+    begun.
 
     Returns (ok, first_failure, points): first_failure is the (n, k) input
     matrix (columns are the representative rows) of the first failing
@@ -611,15 +708,14 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
         probe = _basis_rows(
             _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
     for block in iter_rref_blocks(n, k, q, chunk):
-        ranks = _input_ranks(block, probe, m, q)
         points += block.shape[0]
-        bad = np.nonzero(ranks < target)[0]
-        if sketched and bad.size:
-            full_ranks = _input_ranks(block[bad], full, m, q)
-            bad = bad[full_ranks < target]
-        if bad.size:
-            i = int(bad[0])
-            return False, block[i].T.copy(), points
+        for lo, ranks in _input_tiles(block, probe, m, q):
+            bad = np.nonzero(ranks < target)[0]
+            if sketched and bad.size:
+                cand = block[lo:lo + len(ranks)][bad]
+                bad = bad[_input_ranks(cand, full, m, q) < target]
+            if bad.size:
+                return False, block[lo + int(bad[0])].T.copy(), points
     return True, None, points
 
 
@@ -664,18 +760,22 @@ def separation_scan(basis: np.ndarray, k: int,
     chunk = max(1, DEFAULT_CHUNK * 128 // width)
     for block in _merge_blocks(
             iter_rref_blocks(n, j, q, chunk, order="far-first"), chunk):
-        B = block.shape[0]
-        # M[c, d, b]: row d, column c of the matrix of representative b
-        M = _input_products(block, W, m, q, unit)
-        rest = _eliminate(M, lead, q, n * (q // 2) ** 2)[1][lead:]
-        # stacked[t, i*D + d, b] = (A_c e_t)_i mod p, c the left-kernel
-        # vector row d of representative b now holds; n columns keep the
-        # kernel's column loop short
-        stacked = rest.reshape(n, m * D, B)
-        ranks = batched_rank_mod_p(stacked.transpose(2, 1, 0), q)
-        bad = np.nonzero(ranks < n - j)[0]
-        if bad.size:
-            return block[int(bad[0])].copy()
+        for lo, hi in _tiles(len(block), width):
+            # the products [A_d X | A_d e_t], read by the first kernel call
+            # only: M[c, d, b] is row d, column c of representative b's
+            # matrix
+            rest = _eliminate(_input_products(block[lo:hi], W, m, q, unit),
+                              lead, q, n * (q // 2) ** 2)[1][lead:]
+            # stacked[t, i*D + d, b] = (A_c e_t)_i mod p, c the left-kernel
+            # vector row d of representative b now holds; n columns keep
+            # the kernel's column loop short
+            stacked = rest.reshape(n, m * D, hi - lo)
+            ranks = batched_rank_mod_p(stacked.transpose(2, 1, 0), q)
+            # the next tile's arrays must not meet this one's
+            del rest, stacked
+            bad = np.nonzero(ranks < n - j)[0]
+            if bad.size:
+                return block[lo + int(bad[0])].copy()
     return None
 
 
@@ -693,18 +793,19 @@ def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
         raise ValueError("rank extremes need a square ambient")
     r = r_coeffs = s = s_coeffs = None
     points = 0
-    for block, ranks in _ranked_blocks(basis, q, chunk, omega):
+    for block, tiles in _ranked_blocks(basis, q, chunk, omega):
         points += len(block)
-        local_min = int(ranks.min())
-        if r is None or local_min < r:
-            i = int(np.argmax(ranks == local_min))
-            r, r_coeffs = local_min, block[i].copy()
-        sing = ranks[ranks < n]
-        if sing.size:
-            local_max = int(sing.max())
-            if s is None or local_max > s:
-                i = int(np.argmax(ranks == local_max))
-                s, s_coeffs = local_max, block[i].copy()
+        for lo, ranks in tiles:
+            local_min = int(ranks.min())
+            if r is None or local_min < r:
+                i = int(np.argmax(ranks == local_min))
+                r, r_coeffs = local_min, block[lo + i].copy()
+            sing = ranks[ranks < n]
+            if sing.size:
+                local_max = int(sing.max())
+                if s is None or local_max > s:
+                    i = int(np.argmax(ranks == local_max))
+                    s, s_coeffs = local_max, block[lo + i].copy()
     return r, r_coeffs, s, s_coeffs, points
 
 

@@ -710,17 +710,38 @@ def test_find_invertible_examples():
     assert M is not None and M.det() != 0
 
 
-def test_rank_extremes_examples():
-    ex = rank_extremes_ff(MatrixSubspace.full_space(GF(2), 2, 2))
+def _tile_budgets(L):
+    """modp._TILE_CELLS values a projective scan of L must not depend on:
+    one point per tile (on scans of up to 500 points, for run time), a
+    few points, the default and unbounded; a scan of one point has one
+    tile at every budget, so it gets the default alone."""
+    q = L.field.size
+    cells = L.rows * L.cols * (1 if q == L.field.p else 4)
+    points = modp.projective_count(L.dim, q)
+    if points == 1:
+        return (modp._TILE_CELLS,)
+    return (1, 8 * cells, modp._TILE_CELLS, 1 << 62)[points > 500:]
+
+
+def test_rank_extremes_examples(monkeypatch):
+    full = MatrixSubspace.full_space(GF(2), 2, 2)
+    ex = rank_extremes_ff(full)
     assert (ex.min_nonzero_rank, ex.max_singular_rank) == (1, 1)
-    ex2 = rank_extremes_ff(
-        MatrixSubspace.from_generators([Mat.identity(GF(5), 3)]))
+    ident = MatrixSubspace.from_generators([Mat.identity(GF(5), 3)])
+    ex2 = rank_extremes_ff(ident)
     assert ex2.min_nonzero_rank == 3 and ex2.max_singular_rank is None
     D, _ = dual_transitive_8dim()
     ex3 = rank_extremes_ff(D.reduce_mod(3))
     assert ex3.min_nonzero_rank == 2
     assert ex3.max_singular_rank == 3  # frozen from the exhaustive run
     assert ex3.min_nonzero_rank + ex3.max_singular_rank >= 4
+    # the same extremes, witnesses and points at every tile budget
+    for L, want in [(full, ex), (ident, ex2), (D.reduce_mod(3), ex3)]:
+        for cells in _tile_budgets(L):
+            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+            got = rank_extremes_ff(L)
+            monkeypatch.undo()
+            assert got == want, (L.field.tag, cells)
 
 
 def _rank_extremes_reference(L):
@@ -739,7 +760,7 @@ def _rank_extremes_reference(L):
     return r, rmat, s, smat, pts
 
 
-def test_rank_extremes_over_quadratic_extension_match_reference():
+def test_rank_extremes_over_quadratic_extension_match_reference(monkeypatch):
     rng = random.Random(11)
     spaces = [toeplitz_space(3).reduce_mod(9)]
     while len(spaces) < 30:
@@ -753,10 +774,14 @@ def test_rank_extremes_over_quadratic_extension_match_reference():
         if L.dim:
             spaces.append(L)
     for L in spaces:
-        ex = rank_extremes_ff(L)
-        got = (ex.min_nonzero_rank, ex.min_witness, ex.max_singular_rank,
-               ex.max_witness, ex.points)
-        assert got == _rank_extremes_reference(L), (L.field.tag, L.dim)
+        want = _rank_extremes_reference(L)
+        for cells in _tile_budgets(L):
+            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+            ex = rank_extremes_ff(L)
+            monkeypatch.undo()
+            got = (ex.min_nonzero_rank, ex.min_witness, ex.max_singular_rank,
+                   ex.max_witness, ex.points)
+            assert got == want, (L.field.tag, L.dim, cells)
 
 
 def _min_rank_reference(V):
@@ -795,7 +820,7 @@ def _gf9_disproof_space():
     return MatrixSubspace.from_generators(gens, rows=3, cols=3, field=F)
 
 
-def test_min_rank_over_quadratic_extension_match_reference():
+def test_min_rank_over_quadratic_extension_match_reference(monkeypatch):
     rng = random.Random(12)
     spaces = [_gf9_disproof_space().preannihilator()]
     while len(spaces) < 40:
@@ -810,13 +835,24 @@ def test_min_rank_over_quadratic_extension_match_reference():
             spaces.append(L)
     assert any(L.rows != L.cols for L in spaces)
     for L in spaces:
-        r, w = min_rank_ff_exhaustive(L)
-        assert (r, w.coefficients, w.matrix) == _min_rank_reference(L), \
-            (L.field.tag, L.rows, L.cols, L.dim)
-        for k in range(1, min(L.rows, L.cols) + 1):
-            got = _ff_low_rank_threshold(L, k, 10**8)
-            assert got == _threshold_reference(L, k), (L.field.tag, k)
-    assert _ff_low_rank_threshold(spaces[0], 1, 10**8)[2] == 4084
+        want = _min_rank_reference(L)
+        hits = [_threshold_reference(L, k)
+                for k in range(1, min(L.rows, L.cols) + 1)]
+        for cells in _tile_budgets(L):
+            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+            r, w = min_rank_ff_exhaustive(L)
+            assert (r, w.coefficients, w.matrix) == want, \
+                (L.field.tag, L.rows, L.cols, L.dim, cells)
+            for k, hit in enumerate(hits, 1):
+                got = _ff_low_rank_threshold(L, k, 10**8)
+                assert got == hit, (L.field.tag, k, cells)
+            monkeypatch.undo()
+    # the threshold hit's position, inside a later tile of its block at
+    # the small budgets
+    for cells in _tile_budgets(spaces[0]):
+        monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+        assert _ff_low_rank_threshold(spaces[0], 1, 10**8)[2] == 4084
+        monkeypatch.undo()
 
 
 # ----------------------------------------------------- supplied witnesses

@@ -22,6 +22,15 @@ from translab.modp import (
 from translab.subspace import MatrixSubspace
 
 
+# _TILE_CELLS budgets that a scan's answer must not depend on, for
+# points of `cells` product cells: one point per tile, a few points per
+# tile, the default and unbounded
+def _tile_budgets(cells):
+    from translab import modp
+
+    return (1, 8 * cells, modp._TILE_CELLS, 1 << 62)
+
+
 def test_inverse_table():
     for p in (2, 3, 5, 7, 11):
         inv = inverse_table(p)
@@ -141,7 +150,9 @@ def test_rref_representatives_are_canonical():
     assert len(seen) == gaussian_binomial(4, 2, 3)
 
 
-def test_min_rank_scan_matches_bruteforce():
+def test_min_rank_scan_matches_bruteforce(monkeypatch):
+    from translab import modp
+
     rng = random.Random(1)
     p = 3
     f = GF(p)
@@ -156,6 +167,16 @@ def test_min_rank_scan_matches_bruteforce():
         if L.dim != D:
             continue
         best, coeffs, pts = min_rank_scan(basis, p)
+        first = min_rank_scan(basis, p, threshold=best)
+        for cells in _tile_budgets(9):
+            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+            got = min_rank_scan(basis, p)
+            hit = min_rank_scan(basis, p, threshold=best)
+            monkeypatch.undo()
+            assert got[0] == best and got[2] == pts
+            assert np.array_equal(got[1], coeffs)
+            assert hit[0] == first[0] and hit[2] == first[2]
+            assert np.array_equal(hit[1], first[1])
         # brute force over every nonzero combination
         expect = min(
             L.element(c).rank()
@@ -197,7 +218,8 @@ def test_surjectivity_scan_on_known_spaces():
 
 def test_separation_scan_does_not_depend_on_chunking(monkeypatch):
     # small chunks split pivot sets over several blocks and merge the
-    # blocks of consecutive pivot sets; the first violation must not move
+    # blocks of consecutive pivot sets, and small tile budgets rank a
+    # block in several tiles; the first violation must not move
     from translab import modp
 
     rng = np.random.default_rng(5)
@@ -206,18 +228,24 @@ def test_separation_scan_does_not_depend_on_chunking(monkeypatch):
         for _ in range(4):
             basis = rng.integers(0, q, size=(D, m, n))
             ref = separation_scan(basis, k, q)
-            for chunk in (1, 7, 40):
+            width = ((k - 1) * m + n * m) * D
+            runs = [(chunk, modp._TILE_CELLS) for chunk in (1, 7, 40)]
+            runs += [(modp.DEFAULT_CHUNK, cells)
+                     for cells in _tile_budgets(width)]
+            for chunk, cells in runs:
                 monkeypatch.setattr(modp, "DEFAULT_CHUNK", chunk)
+                monkeypatch.setattr(modp, "_TILE_CELLS", cells)
                 got = separation_scan(basis, k, q)
                 monkeypatch.undo()
-                assert (got is None) == (ref is None), (q, m, n, D, k)
+                assert (got is None) == (ref is None), (q, m, n, D, k, cells)
                 if ref is not None:
                     assert np.array_equal(got, ref)
 
 
 def _surjectivity_reference(basis, k, p, chunk):
     # the uncompressed scan, block by block: rank every (D, m*k) matrix
-    # whose row d is A_d X read row-major
+    # whose row d is A_d X read row-major; the last item is the first
+    # failure's position in its block
     D, m, n = basis.shape
     points = 0
     inv = inverse_table(p)
@@ -227,8 +255,8 @@ def _surjectivity_reference(basis, k, p, chunk):
         points += len(block)
         bad = np.nonzero(ranks < m * k)[0]
         if bad.size:
-            return False, block[int(bad[0])].T, points
-    return True, None, points
+            return False, block[int(bad[0])].T, points, int(bad[0])
+    return True, None, points, None
 
 
 def _planted_failure_basis(rng, p, m, n, k, D):
@@ -265,6 +293,7 @@ def test_surjectivity_scan_compression_is_exact(monkeypatch):
 
     rng = np.random.default_rng(11)
     deficient = (np.zeros, np.ones)
+    later = 0
     for p, m, n, k, D in _COMPRESSED_SHAPES:
         rows = m * k + modp._oversampling(p)
         assert D > rows
@@ -277,18 +306,33 @@ def test_surjectivity_scan_compression_is_exact(monkeypatch):
                 if basis is planted:
                     assert not ref[0]
                 for fill in (None,) + deficient:
-                    calls = []
-                    if fill is not None:
-                        def sketch(r, d, q, fill=fill):
-                            calls.append((r, d, q))
-                            return fill((r, d), dtype=int)
-                        monkeypatch.setattr(modp, "_sketch", sketch)
-                    got = surjectivity_scan(basis, k, p, chunk)
-                    monkeypatch.undo()
-                    assert fill is None or calls == [(rows, D, p)]
-                    assert got[0] == ref[0] and got[2] == ref[2], (p, m, n, k)
-                    if not ref[0]:
-                        assert np.array_equal(got[1], ref[1]), (p, m, n, k)
+                    budgets = (modp._TILE_CELLS,)
+                    if chunk == modp.DEFAULT_CHUNK and fill is None:
+                        # tile budgets on the sketch's own path, where a
+                        # block is a whole pivot set; one point per tile
+                        # only on scans of up to 500 points, for run time
+                        budgets = _tile_budgets(m * k * D)[
+                            gaussian_binomial(n, k, p) > 500:]
+                        # a failure past the first point of its block sits
+                        # in a later tile of it at the small budgets
+                        later += basis is planted and ref[3] > 0
+                    for cells in budgets:
+                        calls = []
+                        if fill is not None:
+                            def sketch(r, d, q, fill=fill):
+                                calls.append((r, d, q))
+                                return fill((r, d), dtype=int)
+                            monkeypatch.setattr(modp, "_sketch", sketch)
+                        monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+                        got = surjectivity_scan(basis, k, p, chunk)
+                        monkeypatch.undo()
+                        assert fill is None or calls == [(rows, D, p)]
+                        assert got[0] == ref[0] and got[2] == ref[2], (
+                            p, m, n, k, cells)
+                        if not ref[0]:
+                            assert np.array_equal(got[1], ref[1]), (
+                                p, m, n, k, cells)
+    assert later >= 4
 
 
 def _basis_killing(rng, p, m, n, D, x0):
@@ -322,17 +366,28 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
     # the last row fails (it is e_n and h^T A e_n = 0), and on blocks cut
     # inside a run of equal prefixes or thinned to every other point;
     # forced takes the prefix path on every block that has runs, and the
-    # unforced scan-sized blocks choose their route by the saving
+    # unforced scan-sized blocks choose their route by the saving.  At the
+    # default chunk the small tile budgets cut a forced block into several
+    # tiles that end on run boundaries
     from translab import modp
 
     eliminate = modp._eliminate
     leads = []
+    default = modp._TILE_CELLS
+    prefix_ranks = modp._prefix_ranks
+    tiles = []
+    split = 0
 
     def spy(mats, lead, p, bound):
         leads.append(lead)
         return eliminate(mats, lead, p, bound)
 
+    def tile_spy(*args):
+        tiles.append(len(args[1]))
+        return prefix_ranks(*args)
+
     monkeypatch.setattr(modp, "_eliminate", spy)
+    monkeypatch.setattr(modp, "_prefix_ranks", tile_spy)
     if forced:
         monkeypatch.setattr(modp, "_PREFIX_MIN_SAVING", float("-inf"))
     rng = np.random.default_rng(17)
@@ -351,12 +406,21 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
                         M = np.einsum("dit,bjt->bdij", basis, part) % p
                         want = batched_rank_mod_p(
                             M.reshape(len(part), D, m * k), p, inv)
-                        got = modp._input_ranks(part, W, m, p)
-                        assert got.tolist() == want.tolist(), (p, m, n, k,
-                                                               chunk)
+                        budgets = (default,)
+                        if forced and chunk == modp.DEFAULT_CHUNK:
+                            budgets = _tile_budgets(m * k * D)
+                        for cells in budgets:
+                            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+                            before = len(tiles)
+                            got = modp._input_ranks(part, W, m, p)
+                            assert got.tolist() == want.tolist(), (
+                                p, m, n, k, chunk, cells)
+                            split += len(tiles) - before > 1
+                        monkeypatch.setattr(modp, "_TILE_CELLS", default)
                         deficient += int((want < m * k).sum())
             assert deficient, (p, m, n, k)
             assert not forced or (k - 1) * m in leads, (p, m, n, k)
+    assert split or not forced
 
 
 def test_batched_rank_matches_exact_on_negative_entries():
@@ -477,8 +541,10 @@ def test_scan_products_are_exact():
 
         modp.batched_rank_mod_p = spy
         try:
-            blocks = [(codes.copy(), seen[-1]) for codes, _ in
-                      modp._ranked_blocks(basis, q, 16, omega)]
+            blocks = [(codes[lo:lo + len(ranks)].copy(), seen[-1])
+                      for codes, tiles in
+                      modp._ranked_blocks(basis, q, 16, omega)
+                      for lo, ranks in tiles]
         finally:
             modp.batched_rank_mod_p = real
         assert sum(len(c) for c, _ in blocks) == projective_count(D, q)
@@ -524,3 +590,29 @@ def test_scans_multiply_without_blas(monkeypatch):
     separation_scan(rng.integers(0, 5, size=(5, 3, 3)), 2, 5)
     surjectivity_scan(rng.integers(0, 7, size=(9, 3, 4)), 2, 7)
     assert calls == []
+
+
+def test_phi_block_scans_rank_in_tiles():
+    # each tile forms its own products, working copy and scratch, so the
+    # definitional scans of the block construction (97,656 points in
+    # blocks of 32,768) hold no block-sized temporaries: at most 6 MiB of
+    # traced allocations each, against 12 MiB with whole blocks
+    import tracemalloc
+
+    from translab.deciders import _subspace_to_int_array
+    from translab.families import phi_block_space
+
+    PB = phi_block_space(4, 1)
+    bases = [_subspace_to_int_array(L.reduce_mod(5))
+             for L in (PB, PB.preannihilator())]
+    # fill the per-prime tables and import the sketch's generator first
+    surjectivity_scan(bases[0], 1, 5)
+    for basis in bases:
+        tracemalloc.start()
+        try:
+            got = surjectivity_scan(basis, 1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (True, None, projective_count(8, 5))
+        assert peak <= 6 << 20, peak
