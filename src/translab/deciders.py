@@ -213,20 +213,24 @@ def _require(cond: bool, what: str) -> None:
 def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
     if not isinstance(L.field, PrimeFieldDomain):
         raise ShapeMismatch(f"expected a subspace over GF(p), got {L.field.tag}")
-    return np.array([[x.value for x in B.entries()] for B in L.basis],
-                    dtype=np.int64).reshape(L.dim, L.rows, L.cols)
+    return _scan_codes(L)[0]
+
+
+def _codes(f: Field, entries) -> tuple:
+    """(codes, omega) for modp's scans over a finite field f: the entries
+    as a flat array of indices into f.elements(), and f's omega over
+    GF(p^2), None over GF(p)."""
+    if isinstance(f, PrimeFieldDomain):
+        return np.array([x.value for x in entries], dtype=np.int64), None
+    return (np.array([x.a * f.p + x.b for x in entries], dtype=np.int64),
+            f.omega)
 
 
 def _scan_codes(V: MatrixSubspace) -> tuple:
     """(codes, omega) for modp's projective scans: V's basis as a
-    (D, m, n) array of indices into V.field.elements(), and the field's
-    omega over GF(p^2), None over GF(p)."""
-    f = V.field
-    if isinstance(f, PrimeFieldDomain):
-        return _subspace_to_int_array(V), None
-    codes = [x.a * f.p + x.b for B in V.basis for x in B.entries()]
-    return (np.array(codes, dtype=np.int64).reshape(V.dim, V.rows, V.cols),
-            f.omega)
+    (D, m, n) array of codes (see _codes)."""
+    codes, omega = _codes(V.field, [x for B in V.basis for x in B.entries()])
+    return codes.reshape(V.dim, V.rows, V.cols), omega
 
 
 def _from_codes(field: Field, codes) -> list:
@@ -352,27 +356,12 @@ def rank_one_elements_ff(L: MatrixSubspace,
     m, n = L.rows, L.cols
     if q ** (m + n) > budget:
         raise BudgetExceeded(f"{q}^{m + n} pairs exceed the budget")
-    if isinstance(f, PrimeFieldDomain):
-        coord = L.coordinate_matrix()
-        cok = coord.kernel()
-        cok_arr = np.array(
-            [[x.value for x in z] for z in cok], dtype=np.int64
-        ).reshape(len(cok), m * n)
-        pairs = modp.rank_one_pair_scan(cok_arr, m, n, q)
-        out = []
-        for x, y in pairs:
-            xm = Mat.col(f, [int(v) for v in x])
-            ym = Mat.col(f, [int(v) for v in y])
-            out.append(xm @ ym.transpose())
-        return out
-    out = []
-    for x in _projective_tuples_generic(f, m):
-        xm = Mat.col(f, x)
-        for y in _projective_tuples_generic(f, n):
-            cand = xm @ Mat.col(f, y).transpose()
-            if L.contains(cand):
-                out.append(cand)
-    return out
+    cok = L.coordinate_matrix().kernel()
+    codes, omega = _codes(f, [x for z in cok for x in z])
+    elems = f.elements()
+    return [Mat(f, m, n, [elems[a] * elems[b] for a in x for b in y])
+            for x, y in modp.rank_one_pair_scan(
+                codes.reshape(len(cok), m * n), m, n, q, omega)]
 
 
 def rank_extremes_ff(L: MatrixSubspace,

@@ -80,7 +80,36 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-class GaussianRational:
+class _Scalar:
+    """What the exact element types share: immutability, and subtraction
+    from the left and division, written through each type's own _coerce,
+    -, * and inverse().  The hot operators stay in each type."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+
+class GaussianRational(_Scalar):
     """A Gaussian rational re + im*i with exact Fraction coordinates."""
 
     __slots__ = ("re", "im")
@@ -88,9 +117,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("GaussianRational is immutable")
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -113,12 +139,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -130,23 +150,11 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
+    def inverse(self) -> "GaussianRational":
+        n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return GaussianRational(self.re / n, -self.im / n)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -181,7 +189,7 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)} i"
 
 
-class FpElement:
+class FpElement(_Scalar):
     """An element of GF(p), value stored reduced into [0, p)."""
 
     __slots__ = ("value", "p")
@@ -189,9 +197,6 @@ class FpElement:
     def __init__(self, value: int, p: int):
         object.__setattr__(self, "value", value % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, FpElement):
@@ -216,12 +221,6 @@ class FpElement:
             return NotImplemented
         return FpElement(self.value - o.value, self.p)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -234,18 +233,6 @@ class FpElement:
         if self.value == 0:
             raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
         return FpElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __neg__(self):
         return FpElement(-self.value, self.p)
@@ -273,7 +260,7 @@ class FpElement:
         return f"{self.value} mod {self.p}"
 
 
-class Fp2Element:
+class Fp2Element(_Scalar):
     """An element a + b*w of GF(p^2) with w*w = omega (a fixed non-residue)."""
 
     __slots__ = ("a", "b", "p", "omega")
@@ -283,9 +270,6 @@ class Fp2Element:
         object.__setattr__(self, "b", b % p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Fp2Element is immutable")
 
     def _coerce(self, other):
         if isinstance(other, Fp2Element):
@@ -310,12 +294,6 @@ class Fp2Element:
             return NotImplemented
         return Fp2Element(self.a - o.a, self.b - o.b, self.p, self.omega)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -338,18 +316,6 @@ class Fp2Element:
             raise ZeroDivisionError(f"0 has no inverse in GF({p}^2)")
         ninv = pow(n, p - 2, p)
         return Fp2Element(self.a * ninv, -self.b * ninv, p, self.omega)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __neg__(self):
         return Fp2Element(-self.a, -self.b, self.p, self.omega)

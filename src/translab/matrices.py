@@ -38,7 +38,7 @@ from .fields import (
     conjugate,
 )
 
-__all__ = ["Mat", "rank", "rref", "kernel", "solve", "reduce_mod"]
+__all__ = ["Mat", "reduce_mod"]
 
 
 class Mat:
@@ -482,24 +482,6 @@ def _kernel_rows(rows: list, ncols: int, field: Field) -> tuple[list, list]:
                 v[pc] = neg(row, j, pc)
         basis.append(tuple(v))
     return basis, pivots
-
-
-# ------------------------------------------------------------------ wrappers
-
-def rank(A: Mat) -> int:
-    return A.rank()
-
-
-def rref(A: Mat) -> tuple[Mat, tuple]:
-    return A.rref()
-
-
-def kernel(A: Mat) -> list:
-    return A.kernel()
-
-
-def solve(A: Mat, b: Sequence) -> Optional[tuple]:
-    return A.solve(b)
 
 
 # -------------------------------------------------------------- reduction

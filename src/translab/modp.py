@@ -13,15 +13,10 @@ balanced residues has magnitude at most K h^2, against K (p-1)^2 for
 residues in [0, p): about a quarter, which keeps every product and every
 elimination below in a narrow integer type (cf. the centred
 representatives of Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields", ACM TOMS 35, 2008).  The scans form their
-products without BLAS, one integer contraction (np.einsum) per
-representative row, in the narrowest signed integer dtype holding
-K h^2: int8 at the shipped primes' scan shapes, int16, int32 or int64
-beyond.  So no BLAS worker thread runs on the scan path.  Only the
-definitional scan's compression (below) and rank_one_pair_scan multiply
-through BLAS, in _mod_matmul on residues in [0, p): over inner dimension
-K every entry is below K (p-1)^2, so float32 serves below 2^24, float64
-below 2^53 and an int64 product below 2^63.
+word-size prime fields", ACM TOMS 35, 2008).  Every product is an
+integer contraction (np.einsum) in the narrowest signed integer dtype
+holding K h^2: int8 at the shipped primes' scan shapes, int16, int32 or
+int64 beyond, and a ValueError past int64.
 
 Ranks come from a swap-free elimination that reduces lazily, on a
 batch-last layout (C, R, B) of B matrices with R rows and C columns,
@@ -53,13 +48,14 @@ each point an m-column rank instead of an m k-column one.  The identity is
 exact, so every rank is the one of the matrix itself, and with it the
 scan's answer.
 
-The projective scans (min_rank_scan, rank_extremes_scan) also run over
-GF(p^2) = GF(p)[w], w^2 = omega.  An element a + b w is coded a*p + b,
-its index in QuadExtDomain.elements().  A matrix X + w Y in Mat(m, n)
-acts on GF(p)^(2n) as the real form [[X, omega Y], [Y, X]], whose rank
-over GF(p) is twice the rank of X + w Y over GF(p^2), so the ranks come
-from batched_rank_mod_p.  Blocks then hold about a chunk of real-form
-entries rather than a chunk of points: each real form has 4 m n entries.
+The projective scans (min_rank_scan, rank_extremes_scan) and
+rank_one_pair_scan also run over GF(p^2) = GF(p)[w], w^2 = omega.  An
+element a + b w is coded a*p + b, its index in QuadExtDomain.elements().
+A matrix X + w Y in Mat(m, n) acts on GF(p)^(2n) as the real form
+[[X, omega Y], [Y, X]] (_real_form), whose rank over GF(p) is twice the
+rank of X + w Y over GF(p^2), so the ranks come from batched_rank_mod_p.
+Blocks then hold about a chunk of real-form entries rather than a chunk
+of points: each real form has 4 m n entries.
 
 Every scan ranks its logical blocks in tiles.  A logical block is what a
 scan enumerates at once: chunk points, or a set number of cells for the
@@ -184,35 +180,24 @@ def _basis_rows(basis: np.ndarray, q: int) -> np.ndarray:
     return _balanced(q, _scan_dtype(n, q)).take(rows.astype(np.intp))
 
 
-def _product_dtype(inner: int, p: int) -> np.dtype:
-    """Narrowest dtype holding a product of residues in [0, p) over this
-    inner dimension exactly (see the module docstring)."""
-    bound = inner * (p - 1) ** 2
-    for dt, exact in ((np.float32, 24), (np.float64, 53), (np.int64, 63)):
-        if bound < 1 << exact:
-            return np.dtype(dt)
-    raise ValueError(f"p = {p} is too large for an exact product")
-
-
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b through BLAS for 2-D arrays of residues in [0, p), not
-    reduced mod p, in _product_dtype."""
-    dt = _product_dtype(a.shape[1], p)
-    return np.matmul(a.astype(dt, copy=False), b.astype(dt, copy=False))
+    """Exact a @ b mod p for 2-D integer arrays, not reduced: both operands
+    are reduced to balanced residues and contracted in _scan_dtype."""
+    dt = _scan_dtype(a.shape[1], p)
+    a, b = (_reduce(x % p, p).astype(dt, copy=False) for x in (a, b))
+    return np.einsum("ik,kj->ij", a, b)
 
 
-def batched_rank_mod_p(mats: np.ndarray, p: int,
-                       inv: np.ndarray | None = None) -> np.ndarray:
+def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of matrices over GF(p).
 
     mats has shape (B, R, C) and integer entries in an integer or float
     dtype, reduced or not, such as the unreduced scan products.  One
     min/max pass reads their largest magnitude U, which _eliminate's
     dtype bound U + C (p // 2)^2 + p // 2 takes in; only entries too wide
-    for int64 are reduced first.  inv is accepted for compatibility and
-    not read: the pivot scales come from one cached table per prime.
-    This is the only place that transposes: _eliminate works on the
-    (C, R, B) view, so a batch built in that layout costs no copy.
+    for int64 are reduced first.  This is the only place that transposes:
+    _eliminate works on the (C, R, B) view, so a batch built in that
+    layout costs no copy.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -409,6 +394,27 @@ def _tiles(B: int, cells: int) -> list:
 
 # ------------------------------------------------------------------- scans
 
+def _real_form(codes: np.ndarray, p: int, omega: int | None) -> np.ndarray:
+    """Residues of the real forms of the (..., m, n) matrices of element
+    codes: the codes mod p over GF(p) (omega None), and the (..., 2m, 2n)
+    matrix [[X, omega Y], [Y, X]] of X + w Y over GF(p^2)."""
+    if omega is None:
+        return codes % p
+    X, Y = codes // p, codes % p
+    return np.block([[X, omega * Y % p], [Y, X]])
+
+
+def _projective_codes(d: int, q: int, omega: int | None,
+                      chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
+    """The blocks of iter_projective_blocks(d, q, chunk) as element codes:
+    over GF(p^2) the leading coordinate, one, is code p."""
+    for codes in iter_projective_blocks(d, q, chunk):
+        if omega is not None:
+            lead = (codes != 0).argmax(axis=1)
+            codes[np.arange(len(codes)), lead] = math.isqrt(q)
+        yield codes
+
+
 def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
                    omega: int | None):
     """(coefficient block, tiles) pairs over the projective combinations
@@ -418,27 +424,18 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
 
     basis: (D, m, n) array of element codes in [0, q).  With omega None, q
     is prime and blocks hold chunk points.  Otherwise q = p^2, w^2 = omega,
-    the ranks come from the real forms (see the module docstring) and the
-    leading coordinate of each combination is one, code p.
+    and the ranks come from the real forms (see the module docstring).
     """
     D, m, n = basis.shape
-    if omega is None:
-        p = q
-        gen = basis % p
-    else:
-        p = math.isqrt(q)
-        X, Y = basis // p, basis % p
+    p = q if omega is None else math.isqrt(q)
+    if omega is not None:
         # rows d and D + d: the real forms of B_d and of w B_d
         # = omega Y_d + w X_d
-        gen = np.empty((2 * D, 2 * m, 2 * n), dtype=np.int64)
-        for row, (re, im) in enumerate([(X, Y), (omega * Y % p, X)]):
-            blk = gen[row * D:(row + 1) * D]
-            blk[:, :m, :n] = re
-            blk[:, :m, n:] = omega * im % p
-            blk[:, m:, :n] = im
-            blk[:, m:, n:] = re
+        basis = np.concatenate([basis, omega * (basis % p) % p * p
+                                + basis // p])
         m, n = 2 * m, 2 * n
         chunk = max(1, chunk // (m * n))
+    gen = _real_form(basis, p, omega)
     # flat[c*m + i, d] = gen[d, i, c], balanced: flat @ coords^T is the
     # batch in the kernel's (C, R, B) layout
     balanced = _balanced(p, _scan_dtype(len(gen), p))
@@ -451,10 +448,9 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
                 .reshape(n, m, -1).transpose(2, 1, 0), p)
             yield lo, ranks if omega is None else ranks // 2
 
-    for codes in iter_projective_blocks(D, q, chunk):
+    for codes in _projective_codes(D, q, omega, chunk):
         coords = codes
         if omega is not None:
-            codes[np.arange(len(codes)), (codes != 0).argmax(axis=1)] = p
             coords = np.concatenate([codes // p, codes % p], axis=1)
         yield codes, tiles(coords)
 
@@ -810,26 +806,41 @@ def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
 
 
 def rank_one_pair_scan(cokernel: np.ndarray, m: int, n: int, q: int,
-                       chunk: int = DEFAULT_CHUNK):
+                       omega: int | None = None):
     """All projective pairs (x, y) with x y^T in the subspace.
 
-    cokernel: (mn - D, m*n) array whose rows annihilate (by the standard dot
-    product on row-major coordinates) exactly the vectorizations of subspace
-    elements.  Returns (x, y) integer vectors in enumeration order (x outer,
-    y inner, both in the projective order of iter_projective_blocks).
+    cokernel: (R, m*n) array of element codes, q and omega as in
+    min_rank_scan, whose rows annihilate (by the standard dot product on
+    row-major coordinates) exactly the vectorizations of subspace
+    elements: x y^T lies in the subspace iff x^T C_r y = 0 for the m x n
+    matrix C_r of every row r.  Each tile of x's forms U = x^T C_r, then
+    U y for every y.  Over GF(p^2) both products run on real forms: the
+    last row of the real form of a row vector z is [Im z, Re z], and the
+    real form is multiplicative, so the last row of the real form of x^T
+    times that of C_r is [Im, Re] of x^T C_r, and that times the real form
+    of y is [Im, Re] of x^T C_r y.
+
+    Returns (x, y) code vectors in enumeration order (x outer, y inner,
+    both in the projective order of iter_projective_blocks).
     """
-    ys = np.concatenate(list(iter_projective_blocks(n, q, chunk)), axis=0)
+    p = q if omega is None else math.isqrt(q)
+    xs = np.concatenate(list(_projective_codes(m, q, omega)))
+    ys = np.concatenate(list(_projective_codes(n, q, omega)))
+    # rows[b]: the last row of the real form of x_b^T
+    rows = _real_form(xs[:, None, :], p, omega)[:, -1]
+    # C[i, r*n2 + j]: entry (i, j) of the real form of C_r
+    C = _real_form(cokernel.reshape(-1, m, n), p, omega)
+    R, m2, n2 = C.shape
+    C = C.transpose(1, 0, 2).reshape(m2, R * n2)
+    # Y[j, b*c + e]: entry (j, e) of the real form of the column y_b
+    Y = _real_form(ys[:, :, None], p, omega)
+    c = Y.shape[2]
+    Y = Y.transpose(1, 0, 2).reshape(n2, len(ys) * c)
     out = []
-    cok = (cokernel % q).astype(np.int32) if cokernel.size else cokernel
-    for xblock in iter_projective_blocks(m, q, chunk):
-        for x in xblock:
-            mats = (x[:, None] * ys[:, None, :]) % q  # (Ny, m, n)
-            vecs = mats.reshape(len(ys), m * n)
-            if cokernel.size:
-                resid = _mod_matmul(vecs, cok.T, q) % q
-                good = np.nonzero(~resid.any(axis=1))[0]
-            else:
-                good = np.arange(len(ys))
-            for i in good:
-                out.append((x.copy(), ys[int(i)].copy()))
+    for lo, hi in _tiles(len(xs), R * len(ys) * c):
+        U = _mod_matmul(rows[lo:hi], C, p).reshape((hi - lo) * R, n2)
+        resid = _mod_matmul(U, Y, p) % p
+        hits = ~resid.reshape(hi - lo, R, len(ys), c).any(axis=(1, 3))
+        for i, j in zip(*np.nonzero(hits)):
+            out.append((xs[lo + i].copy(), ys[j].copy()))
     return out

@@ -245,6 +245,48 @@ def test_rank_one_elements_examples():
         MatrixSubspace.from_generators([Mat.identity(f5, 2)])) == []
 
 
+def _rank_one_elements_reference(L):
+    # one exact Mat per projective pair (x, y), kept when L contains x y^T
+    f = L.field
+    out = []
+    for x in _projective_tuples_generic(f, L.rows):
+        xm = Mat.col(f, x)
+        for y in _projective_tuples_generic(f, L.cols):
+            cand = xm @ Mat.col(f, y).transpose()
+            if L.contains(cand):
+                out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("q, shapes", [
+    (2, [(2, 2), (2, 3), (3, 3)]),
+    (3, [(2, 3), (3, 3)]),
+    (5, [(2, 2), (3, 2)]),
+    (9, [(2, 2), (2, 3), (1, 3)]),
+    (25, [(2, 2), (1, 2)]),
+])
+def test_rank_one_elements_match_exact_loop(q, shapes):
+    # seeded random subspaces of Mat(m, n), each holding one planted
+    # rank-one element, against the exact loop: the same elements in the
+    # same order, over GF(p) and GF(p^2) alike
+    f = GF(q)
+    elems = f.elements()
+    rng = random.Random(q)
+    for m, n in shapes:
+        for d in sorted({1, rng.randrange(1, m * n + 1), m * n}):
+            x = [rng.choice(elems[1:])] + [rng.choice(elems)
+                                            for _ in range(m - 1)]
+            y = [rng.choice(elems) for _ in range(n - 1)]
+            y.append(rng.choice(elems[1:]))
+            gens = [Mat.col(f, x) @ Mat.col(f, y).transpose()]
+            gens += [Mat(f, m, n, [rng.choice(elems) for _ in range(m * n)])
+                     for _ in range(d - 1)]
+            L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=f)
+            got = rank_one_elements_ff(L)
+            assert got, (q, m, n, d)
+            assert got == _rank_one_elements_reference(L), (q, m, n, d)
+
+
 def test_definitional_exhaustive_matches_annihilator_test():
     # the central equivalence, both directions, on random GF(3) subspaces
     rng = random.Random(42)

@@ -248,10 +248,9 @@ def _surjectivity_reference(basis, k, p, chunk):
     # failure's position in its block
     D, m, n = basis.shape
     points = 0
-    inv = inverse_table(p)
     for block in iter_rref_blocks(n, k, p, chunk):
         M = np.einsum("dit,bjt->bdij", basis, block) % p
-        ranks = batched_rank_mod_p(M.reshape(len(block), D, m * k), p, inv)
+        ranks = batched_rank_mod_p(M.reshape(len(block), D, m * k), p)
         points += len(block)
         bad = np.nonzero(ranks < m * k)[0]
         if bad.size:
@@ -392,7 +391,6 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
         monkeypatch.setattr(modp, "_PREFIX_MIN_SAVING", float("-inf"))
     rng = np.random.default_rng(17)
     for p, m, n, k, D in _PREFIX_SHAPES:
-        inv = inverse_table(p)
         for x0 in np.eye(n, dtype=np.int64)[[0, -1]]:
             basis = _basis_killing(rng, p, m, n, D, x0)
             W = modp._basis_rows(basis, p)
@@ -405,7 +403,7 @@ def test_input_ranks_match_direct_ranks(monkeypatch, forced):
                     for part in (block, block[::2])[:1 + (chunk > 1)]:
                         M = np.einsum("dit,bjt->bdij", basis, part) % p
                         want = batched_rank_mod_p(
-                            M.reshape(len(part), D, m * k), p, inv)
+                            M.reshape(len(part), D, m * k), p)
                         budgets = (default,)
                         if forced and chunk == modp.DEFAULT_CHUNK:
                             budgets = _tile_budgets(m * k * D)
@@ -566,16 +564,22 @@ def test_scan_products_are_exact():
 
 
 def test_scans_multiply_without_blas(monkeypatch):
-    # every scan product is an integer contraction; the only BLAS product
-    # left on a scan is the definitional scan's one compression
+    # every scan product is an integer contraction, so no BLAS product is
+    # left in modp: _mod_matmul serves only the definitional scan's one
+    # compression and the rank-one scan, and always yields signed integers
     from translab import modp
+    from translab.deciders import rank_one_elements_ff
+    from translab.families import trace_zero
 
     calls = []
+    dtypes = []
     real = modp._mod_matmul
 
     def spy(a, b, p):
         calls.append((a.shape, b.shape))
-        return real(a, b, p)
+        out = real(a, b, p)
+        dtypes.append(out.dtype)
+        return out
 
     monkeypatch.setattr(modp, "_mod_matmul", spy)
     rng = np.random.default_rng(31)
@@ -590,6 +594,10 @@ def test_scans_multiply_without_blas(monkeypatch):
     separation_scan(rng.integers(0, 5, size=(5, 3, 3)), 2, 5)
     surjectivity_scan(rng.integers(0, 7, size=(9, 3, 4)), 2, 7)
     assert calls == []
+    for q in (5, 9):
+        assert rank_one_elements_ff(trace_zero(2).reduce_mod(q))
+    assert calls
+    assert all(np.issubdtype(dt, np.signedinteger) for dt in dtypes), dtypes
 
 
 def test_phi_block_scans_rank_in_tiles():
