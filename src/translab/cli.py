@@ -112,23 +112,18 @@ def _build_parser() -> _Parser:
                     help='target field tag: Q, Qi, GF(p), GF(p^2); family '
                          'addresses default to Q, files keep their own field')
 
-    sp = sub.add_parser("check", help="decide k-transitivity")
-    add_io(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--strategy", default="auto",
-                    choices=["auto", "ff", "numeric"])
-    sp.add_argument("--primes", default="5,7")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    def add_decision(cmd, summary, strategy):
+        sp = sub.add_parser(cmd, help=summary)
+        add_io(sp)
+        sp.add_argument("-k", type=int, required=True)
+        sp.add_argument("--strategy", default="auto",
+                        choices=["auto", "ff", strategy])
+        sp.add_argument("--primes", default="5,7")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    sp = sub.add_parser("sep", help="decide the k-separating property")
-    add_io(sp)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--strategy", default="auto",
-                    choices=["auto", "ff", "sample"])
-    sp.add_argument("--primes", default="5,7")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    add_decision("check", "decide k-transitivity", "numeric")
+    add_decision("sep", "decide the k-separating property", "sample")
 
     sp = sub.add_parser("preann", help="compute the pre-annihilator")
     add_io(sp)
@@ -190,6 +185,10 @@ def run(argv=None) -> int:
         return 1
 
 
+_DECISIONS = {"check": (check_k_transitive, transitivity_verdict_to_obj),
+              "sep": (check_k_separating, separation_verdict_to_obj)}
+
+
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "new":
@@ -207,19 +206,13 @@ def _dispatch(args) -> int:
             space = _load_space(args.input, args.field or "Q")
         _emit(subspace_to_obj(space), args.output)
         return 0
-    if cmd == "check":
+    if cmd in _DECISIONS:
+        decide, to_obj = _DECISIONS[cmd]
         space = _load_space(args.input)
-        v = check_k_transitive(space, args.k, args.strategy,
-                               primes=_parse_primes(args.primes),
-                               seed=args.seed, budget=args.budget)
-        _emit(transitivity_verdict_to_obj(v), args.output)
-        return 0
-    if cmd == "sep":
-        space = _load_space(args.input)
-        v = check_k_separating(space, args.k, args.strategy,
-                               primes=_parse_primes(args.primes),
-                               seed=args.seed, budget=args.budget)
-        _emit(separation_verdict_to_obj(v), args.output)
+        v = decide(space, args.k, args.strategy,
+                   primes=_parse_primes(args.primes), seed=args.seed,
+                   budget=args.budget)
+        _emit(to_obj(v), args.output)
         return 0
     if cmd == "preann":
         space = _load_space(args.input)
@@ -264,11 +257,7 @@ def _dispatch(args) -> int:
         cpu_s = time.process_time()
         report = build_report(seconds)
         cpu_s = time.process_time() - cpu_s
-        text = dumps(report)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
+        _emit(report, args.output)
         print(format_report_table(report, seconds, cpu_s), file=sys.stderr)
         return 0 if report["all_ok"] else 1
     raise _UsageError(f"unknown command {cmd!r}")

@@ -210,6 +210,13 @@ def _require(cond: bool, what: str) -> None:
         raise VerificationFailed(f"{what} failed exact re-verification")
 
 
+def _check_primes(primes: Sequence[int]) -> None:
+    """Raise ValueError unless every certification prime is a prime."""
+    bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        raise ValueError(f"certification primes must be prime, got {bad}")
+
+
 def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
     if not isinstance(L.field, PrimeFieldDomain):
         raise ShapeMismatch(f"expected a subspace over GF(p), got {L.field.tag}")
@@ -236,13 +243,6 @@ def _scan_codes(V: MatrixSubspace) -> tuple:
 def _from_codes(field: Field, codes) -> list:
     elems = field.elements()
     return [elems[int(c)] for c in codes]
-
-
-def _ints_to_mat(field: Field, arr) -> Mat:
-    rows = len(arr)
-    cols = len(arr[0])
-    return Mat(field, rows, cols,
-               [field.from_int(int(x)) for row in arr for x in row])
 
 
 def _lift_vectors(coeffs: Sequence[int], p: int):
@@ -342,7 +342,7 @@ def definitional_k_transitive_ff(L: MatrixSubspace, k: int,
     ok, failure, pts = modp.surjectivity_scan(basis, k, q)
     if ok:
         return True, None, pts
-    return False, _ints_to_mat(f, failure), pts
+    return False, Mat(f, n, k, _from_codes(f, failure.ravel())), pts
 
 
 def rank_one_elements_ff(L: MatrixSubspace,
@@ -530,6 +530,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         raise ValueError("k must be at least 1")
     if strategy not in ("auto", "ff", "numeric"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    _check_primes(primes)
     m, n = L.rows, L.cols
     Lp = L.preannihilator()
     d = Lp.dim
@@ -908,6 +909,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         raise ValueError("need 1 <= k <= cols")
     if strategy not in ("auto", "ff", "sample"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    _check_primes(primes)
     n = L.cols
     ev: dict = {"strategy": strategy, "seed": seed, "budget": budget,
                 "steps": []}
@@ -981,7 +983,7 @@ def _separation_scan_ff(L: MatrixSubspace, k: int) -> Optional[Mat]:
     rep = modp.separation_scan(_subspace_to_int_array(L), k, f.size)
     if rep is None:
         return None
-    Vrows = [[f.from_int(int(v)) for v in row] for row in rep]
+    Vrows = [_from_codes(f, row) for row in rep]
     ck, inside = _flag_violation(L, Vrows)
     _require(not inside, "violating flag")
     xk = _choose_final_vector(f, n, ck, Vrows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import ParameterOutOfRange, ShapeMismatch, VerificationFailed
@@ -39,7 +40,6 @@ __all__ = [
     "FamilySpec",
     "parse_family",
     "build_family",
-    "family_label",
     "vandermonde_diagonal_space",
     "min_rank_diagonal_annihilator",
     "minimal_k_transitive",
@@ -321,16 +321,22 @@ def dual_transitive_perp_display(field: Field = QQ) -> MatrixSubspace:
 def dual_transitive_theorem_form(field: Field = QQ) -> MatrixSubspace:
     """The same construction in the block order [[A, B], [Phi(B), Phi(A)]]
     (the general theorem's layout, with the same Phi)."""
-    phi = dual_transitive_phi()
+    return _phi_blocks(2, field, dual_transitive_phi().apply)
+
+
+def _phi_blocks(n: int, field: Field, phi) -> MatrixSubspace:
+    """The span of the blocks [[A, B], [phi(B), phi(A)]] over n x n
+    blocks A and B."""
     gens = []
-    for i in range(2):
-        for j in range(2):
-            U = Mat.unit(field, 2, 2, i, j)
-            PU = phi.apply(U)
-            Z = Mat.zeros(field, 2, 2)
+    Z = Mat.zeros(field, n, n)
+    for i in range(n):
+        for j in range(n):
+            U = Mat.unit(field, n, n, i, j)
+            PU = phi(U)
             gens.append(_blocks_2x2(U, Z, Z, PU))
             gens.append(_blocks_2x2(Z, U, PU, Z))
-    return MatrixSubspace.from_generators(gens, rows=4, cols=4, field=field)
+    return MatrixSubspace.from_generators(gens, rows=2 * n, cols=2 * n,
+                                          field=field)
 
 
 def _blocks_2x2(A: Mat, B: Mat, C: Mat, D: Mat) -> Mat:
@@ -422,7 +428,7 @@ def _phi_block_components(n: int, k: int, field: Field):
         rng = random.Random(f"phi-block-{n}-{k}-{attempt}")
         N = random_subspace(rng, field, dim_n, n, n, 3)
         V = _random_subspace_of(rng, N, r)
-        space = _assemble_phi_space(n, field, N, V)
+        space = _phi_blocks(n, field, partial(_phi_apply, N, V))
         perp = space.preannihilator()
         checks = rng
         if (_min_sample_rank(checks, N, 24) > k
@@ -440,39 +446,9 @@ def _phi_apply(N: MatrixSubspace, V: MatrixSubspace, A: Mat) -> Mat:
     """phi(A): quotient coordinates of A relative to N (read off the
     non-pivot coordinate positions of N's canonical basis) pushed onto the
     canonical basis of V."""
-    field = A.field
-    n = A.rows
-    v = list(vec(A))
-    for B, pc in zip(N.basis, N._pivots):
-        c = v[pc]
-        if c:
-            bv = vec(B)
-            for j, x in enumerate(bv):
-                if x:
-                    v[j] = v[j] - c * x
     pivset = set(N._pivots)
-    img = Mat.zeros(field, n, n)
-    t = 0
-    for pos in range(n * n):
-        if pos in pivset:
-            continue
-        if v[pos]:
-            img = img + V.basis[t].scale(v[pos])
-        t += 1
-    return img
-
-
-def _assemble_phi_space(n, field, N, V) -> MatrixSubspace:
-    gens = []
-    Z = Mat.zeros(field, n, n)
-    for i in range(n):
-        for j in range(n):
-            U = Mat.unit(field, n, n, i, j)
-            PU = _phi_apply(N, V, U)
-            gens.append(_blocks_2x2(U, Z, Z, PU))
-            gens.append(_blocks_2x2(Z, U, PU, Z))
-    return MatrixSubspace.from_generators(gens, rows=2 * n, cols=2 * n,
-                                          field=field)
+    rest = N._reduce(A)[1]
+    return V.element([x for pos, x in enumerate(rest) if pos not in pivset])
 
 
 _PHI_BLOCK_CACHE: dict = {}
@@ -485,12 +461,8 @@ def phi_block_map(n: int, k: int, field: Field = QQ) -> LinearMapTable:
     quotient-size subspace of N; see phi_block_space.
     """
     N, V, _space = _phi_block_cached(n, k, field)
-    cols = []
-    for pos in range(n * n):
-        A = Mat(field, n, n,
-                [field.one() if t == pos else field.zero()
-                 for t in range(n * n)])
-        cols.append(vec(_phi_apply(N, V, A)))
+    cols = [vec(_phi_apply(N, V, Mat.unit(field, n, n, *divmod(pos, n))))
+            for pos in range(n * n)]
     entries = [cols[j][i] for i in range(n * n) for j in range(n * n)]
     return LinearMapTable(n, Mat(field, n * n, n * n, entries))
 
@@ -617,19 +589,6 @@ def pattern_space(n: int, positions, field: Field = QQ) -> MatrixSubspace:
 
 # ----------------------------------------------- the tensor counterexample
 
-_BLOCK_PAIRS = {
-    # letter -> ((pos1, coeff1), (pos2, coeff2)) over the 4x4 block grid
-    "a": (((0, 0), 1), ((2, 2), 1)),
-    "b": (((0, 1), 1), ((2, 3), 1)),
-    "c": (((1, 0), 1), ((3, 2), 1)),
-    "d": (((1, 1), 1), ((3, 3), 1)),
-    "e": (((1, 3), 1), ((2, 0), 1)),
-    "f": (((1, 2), 1), ((2, 1), 1)),
-    "g": (((0, 3), 2), ((3, 0), 1)),
-    "h": (((0, 2), 1), ((3, 1), 1)),
-}
-
-
 @dataclass
 class CounterexampleCertificate:
     """Verification record for the rank-one obstruction showing that the
@@ -656,19 +615,9 @@ class CounterexampleCertificate:
 
 def _rank_one_from_sign_pattern(field, usigns, vsigns) -> tuple:
     """u, v in Q^16 assembled from (e4, e3, e2, e1) blocks with signs."""
-    e = [Mat.col(field, [1 if t == i else 0 for t in range(4)])
-         for i in range(4)]
-    blocks_u = [e[3], e[2], e[1], e[0]]
-    blocks_v = [e[3], e[2], e[1], e[0]]
-    ucol = []
-    vcol = []
-    for s, blk in zip(usigns, blocks_u):
-        ucol.extend((blk.scale(field.from_int(s))).entries())
-    for s, blk in zip(vsigns, blocks_v):
-        vcol.extend((blk.scale(field.from_int(s))).entries())
-    u = Mat(field, 16, 1, ucol)
-    v = Mat(field, 16, 1, vcol)
-    return u, v
+    return tuple(Mat.col(field, [s if t == 3 - b else 0
+                                 for b, s in enumerate(signs) for t in range(4)])
+                 for signs in (usigns, vsigns))
 
 
 def _block_of(T: Mat, r: int, c: int, nb: int = 4) -> Mat:
@@ -687,7 +636,9 @@ def _certify_rank_one_in_sum(L: MatrixSubspace, T: Mat, patterns) -> tuple:
     ok = True
     P = Mat.zeros(f, 16, 16)
     Q = Mat.zeros(f, 16, 16)
-    for letter, ((p1, c1), (p2, c2)) in patterns.items():
+    for letter, placements in patterns.items():
+        (i1, j1, c1), (i2, j2, c2) = placements
+        p1, p2 = (i1, j1), (i2, j2)
         T1 = _block_of(T, *p1)
         T2 = _block_of(T, *p2)
         c1f = f.from_int(c1)
@@ -699,10 +650,7 @@ def _certify_rank_one_in_sum(L: MatrixSubspace, T: Mat, patterns) -> tuple:
         ok = ok and member
         lam = T1.scale(f.one() / c1f)  # X at p1 chosen to be zero
         X2 = lam.scale(c2f) - T2
-        pat = Mat.zeros(f, 4, 4)
-        pat = pat + Mat.unit(f, 4, 4, *p1).scale(c1f)
-        pat = pat + Mat.unit(f, 4, 4, *p2).scale(c2f)
-        P = P + pat.kron(lam)
+        P = P + _pattern_matrix(f, 4, placements).kron(lam)
         Q = Q + Mat.unit(f, 4, 4, *p2).kron(X2)
     decomposition_ok = ok and (P - Q == T)
     return equations, ok, decomposition_ok
@@ -725,12 +673,9 @@ def counterexample_certificate() -> CounterexampleCertificate:
     u, v = _rank_one_from_sign_pattern(QQ, (1, 1, 1, 1), (1, 1, -1, -1))
     T_perp = u @ v.transpose()  # rank one in (Lp tensor Lp)_perp
     equations, eq_ok, dec_ok = _certify_rank_one_in_sum(
-        L, T_perp, _BLOCK_PAIRS)
+        L, T_perp, _DUAL_TRANSITIVE_PATTERNS)
     # dual route: T annihilates every Kronecker generator of Lp (x) Lp
-    pair_ok = all(
-        not Bi.kron(Bj).trace_pairing(T_perp)
-        for Bi in Lp.basis for Bj in Lp.basis
-    )
+    pair_ok = _annihilates_tensor_square(Lp, T_perp)
     tensor_dual = Lp.tensor(Lp)
     verdict_dual = transitivity_disproof_from_witness(tensor_dual, 1, T_perp)
 
@@ -748,6 +693,12 @@ def counterexample_certificate() -> CounterexampleCertificate:
         verdict_tensor_dual=verdict_dual,
         verdict_tensor_main=verdict_main,
     )
+
+
+def _annihilates_tensor_square(S: MatrixSubspace, T: Mat) -> bool:
+    """Whether T pairs to zero with every Kronecker generator of S (x) S."""
+    return all(not Bi.kron(Bj).trace_pairing(T)
+               for Bi in S.basis for Bj in S.basis)
 
 
 def _find_main_tensor_witness(L: MatrixSubspace) -> Mat:
@@ -768,11 +719,7 @@ def _find_main_tensor_witness(L: MatrixSubspace) -> Mat:
     for us, vs in sign_choices:
         u, v = _rank_one_from_sign_pattern(f, us, vs)
         T = u @ v.transpose()
-        good = all(
-            not Bi.kron(Bj).trace_pairing(T)
-            for Bi in L.basis for Bj in L.basis
-        )
-        if good:
+        if _annihilates_tensor_square(L, T):
             return T
     raise AssertionError("no mirrored sign assembly annihilates the tensor square")
 
@@ -799,19 +746,44 @@ class FamilySpec:
         return self.name
 
 
-_FAMILY_ARITY = {
-    "toeplitz": 1,
-    "hankel": 1,
-    "tracezero": 1,
-    "minimal": 3,
-    "rankann": 3,
-    "vdiag": 2,
-    "dualtransitive": 0,
-    "phiblock": 2,
-    "sltensor": 2,
-    "full": 2,
-    "zero": 2,
+# name -> (parameter count, constructor(*params, field),
+#          closed-form expectations(*params)); rowaug and pattern have
+#          their own grammar
+_FAMILIES = {
+    "toeplitz": (1, toeplitz_space, lambda n: {
+        "ambient": (n, n), "dim": 2 * n - 1, "transitive": 1}),
+    "hankel": (1, hankel_space, lambda n: {
+        "ambient": (n, n), "dim": 2 * n - 1, "transitive": 1}),
+    "tracezero": (1, trace_zero, lambda n: {
+        "ambient": (n, n), "dim": n * n - 1, "transitive": n - 1}),
+    "minimal": (3, minimal_k_transitive, lambda m, n, k: {
+        "ambient": (m, n), "dim": k * (m + n - k),
+        "transitive": k, "not_transitive": k + 1}),
+    "rankann": (3, rank_annihilator_space, lambda m, n, k: {
+        "ambient": (m, n), "dim": m * n - 1,
+        "transitive": k, "not_transitive": k + 1}),
+    "vdiag": (2, vandermonde_diagonal_space, lambda p, k: {
+        "ambient": (p, p), "dim": p - k, "min_rank": k + 1}),
+    "dualtransitive": (0, lambda field: dual_transitive_8dim(field)[0],
+                       lambda: {"ambient": (4, 4), "dim": 8, "transitive": 1,
+                                "dual_transitive": 1}),
+    "phiblock": (2, phi_block_space, lambda n, k: {
+        "ambient": (2 * n, 2 * n), "dim": 2 * n * n,
+        "transitive": k, "dual_transitive": k}),
+    "sltensor": (2, sl_tensor_full, lambda d, m: {
+        "ambient": (d * m, d * m), "dim": (d * d - 1) * m * m,
+        "transitive": d - 1}),
+    "full": (2, lambda m, n, field: MatrixSubspace.full_space(field, m, n),
+             lambda m, n: {"ambient": (m, n), "dim": m * n}),
+    "zero": (2, lambda m, n, field: MatrixSubspace.zero_space(field, m, n),
+             lambda m, n: {"ambient": (m, n), "dim": 0}),
 }
+
+
+def _family(name: str) -> tuple:
+    if name not in _FAMILIES:
+        raise ParameterOutOfRange(f"unknown family {name!r}")
+    return _FAMILIES[name]
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -834,94 +806,33 @@ def parse_family(text: str) -> FamilySpec:
         return FamilySpec("pattern", params=(n,), pattern=tuple(pos))
     name, _, paramtext = text.partition(":")
     name = name.lower()
-    if name not in _FAMILY_ARITY:
-        raise ParameterOutOfRange(f"unknown family {name!r}")
+    arity = _family(name)[0]
     params = tuple(int(x) for x in paramtext.split(",")) if paramtext else ()
-    if len(params) != _FAMILY_ARITY[name]:
+    if len(params) != arity:
         raise ParameterOutOfRange(
-            f"family {name} takes {_FAMILY_ARITY[name]} parameters, "
-            f"got {len(params)}")
+            f"family {name} takes {arity} parameters, got {len(params)}")
     return FamilySpec(name, params)
 
 
 def build_family(spec: FamilySpec, field: Field = QQ) -> MatrixSubspace:
     """Construct the subspace a family address names."""
-    n = spec.params
-    if spec.name == "toeplitz":
-        return toeplitz_space(n[0], field)
-    if spec.name == "hankel":
-        return hankel_space(n[0], field)
-    if spec.name == "tracezero":
-        return trace_zero(n[0], field)
-    if spec.name == "minimal":
-        return minimal_k_transitive(*n, field)
-    if spec.name == "rankann":
-        return rank_annihilator_space(*n, field)
-    if spec.name == "vdiag":
-        return vandermonde_diagonal_space(*n, field)
-    if spec.name == "dualtransitive":
-        return dual_transitive_8dim(field)[0]
-    if spec.name == "phiblock":
-        return phi_block_space(*n, field)
-    if spec.name == "sltensor":
-        return sl_tensor_full(*n, field)
-    if spec.name == "full":
-        return MatrixSubspace.full_space(field, *n)
-    if spec.name == "zero":
-        return MatrixSubspace.zero_space(field, *n)
     if spec.name == "rowaug":
         return row_augmented_space(build_family(spec.inner, field))
     if spec.name == "pattern":
-        return pattern_space(n[0], spec.pattern, field)
-    raise ParameterOutOfRange(f"unknown family {spec.name!r}")
-
-
-def family_label(spec: FamilySpec) -> str:
-    return str(spec)
+        return pattern_space(spec.params[0], spec.pattern, field)
+    return _family(spec.name)[1](*spec.params, field)
 
 
 def expected_properties(spec: FamilySpec) -> dict:
     """Closed-form expectations for a family instance, consumed by the
     report generator: ambient shape, dimension, and the headline
     transitivity/separation levels the construction is built to satisfy."""
-    name, p = spec.name, spec.params
-    if name in ("toeplitz", "hankel"):
-        n = p[0]
-        return {"ambient": (n, n), "dim": 2 * n - 1, "transitive": 1}
-    if name == "tracezero":
-        n = p[0]
-        return {"ambient": (n, n), "dim": n * n - 1, "transitive": n - 1}
-    if name == "minimal":
-        m, n, k = p
-        return {"ambient": (m, n), "dim": k * (m + n - k),
-                "transitive": k, "not_transitive": k + 1}
-    if name == "rankann":
-        m, n, k = p
-        return {"ambient": (m, n), "dim": m * n - 1,
-                "transitive": k, "not_transitive": k + 1}
-    if name == "vdiag":
-        pp, k = p
-        return {"ambient": (pp, pp), "dim": pp - k, "min_rank": k + 1}
-    if name == "dualtransitive":
-        return {"ambient": (4, 4), "dim": 8, "transitive": 1,
-                "dual_transitive": 1}
-    if name == "phiblock":
-        n, k = p
-        return {"ambient": (2 * n, 2 * n), "dim": 2 * n * n,
-                "transitive": k, "dual_transitive": k}
-    if name == "sltensor":
-        d, m = p
-        return {"ambient": (d * m, d * m), "dim": (d * d - 1) * m * m,
-                "transitive": d - 1}
-    if name == "rowaug":
+    if spec.name == "rowaug":
         inner = expected_properties(spec.inner)
         m, n = inner["ambient"]
         return {"ambient": (m + 1, n), "dim": n + inner["dim"],
                 "separating": n}
-    if name == "pattern":
-        return {"ambient": (p[0], p[0]), "dim": len(spec.pattern)}
-    if name == "full":
-        return {"ambient": p, "dim": p[0] * p[1]}
-    if name == "zero":
-        return {"ambient": p, "dim": 0}
-    raise ParameterOutOfRange(f"unknown family {name!r}")
+    if spec.name == "pattern":
+        n = spec.params[0]
+        return {"ambient": (n, n), "dim": len(spec.pattern)}
+    return _family(spec.name)[2](*spec.params)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Union
 
 __all__ = [
@@ -637,10 +638,9 @@ def GF(q: int) -> Field:
         raise ValueError(f"invalid field size {q}")
     if is_prime(q):
         return _gf(q, 1)
-    r = int(q ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 2 and cand * cand == q and is_prime(cand):
-            return _gf(cand, 2)
+    r = isqrt(q)
+    if r * r == q and is_prime(r):
+        return _gf(r, 2)
     raise ValueError(f"field size must be p or p^2 for prime p, got {q}")
 
 

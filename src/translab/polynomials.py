@@ -10,9 +10,11 @@ whichever field the coefficients live in.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence
 
 from .fields import Field, GaussianRational, QI, QQ
+from .matrices import Mat
 
 __all__ = [
     "poly_trim",
@@ -181,11 +183,8 @@ def sqrt_exact(x):
 def _isqrt_exact(n: int) -> Optional[int]:
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
@@ -298,42 +297,15 @@ def charpoly(rows: list, field: Field) -> tuple:
     if field.characteristic != 0:
         raise ValueError("charpoly requires a characteristic-zero field")
     n = len(rows)
-    one, zero = field.one(), field.zero()
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    Mk = [row[:] for row in ident]
-    c = one
+    M = Mat(field, n, n, [x for row in rows for x in row])
+    ident = Mat.identity(field, n)
+    coeffs = [field.zero()] * n + [field.one()]
+    Mk = ident
     for k in range(1, n + 1):
         if k > 1:
-            Mk = _matmul_rows(rows, Mk, field)
-            for i in range(n):
-                Mk[i][i] = Mk[i][i] + c
-        MA = _matmul_rows(rows, Mk, field)
-        tr = zero
-        for i in range(n):
-            tr = tr + MA[i][i]
-        c = -tr / field.from_int(k)
-        coeffs[n - k] = c
+            Mk = M @ Mk + ident.scale(coeffs[n - k + 1])
+        coeffs[n - k] = -(M @ Mk).trace() / field.from_int(k)
     return poly_trim(coeffs)
-
-
-def _matmul_rows(A, B, field):
-    n = len(A)
-    zero = field.zero()
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if not a:
-                continue
-            Bk = B[k]
-            oi = out[i]
-            for j in range(n):
-                if Bk[j]:
-                    oi[j] = oi[j] + a * Bk[j]
-    return out
 
 
 # ----------------------------------------------- quotient-ring elimination

@@ -53,24 +53,35 @@ def mat_to_obj(A: Mat) -> dict:
     }
 
 
-def mat_from_obj(obj: dict) -> Mat:
+def _header(obj: dict, kind: str, key: str) -> tuple:
+    """(field, rows, cols, obj[key]) of a matrix or subspace document."""
     try:
-        field = field_from_tag(obj["field"])
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        raw = obj["entries"]
+        return (field_from_tag(obj["field"]), int(obj["rows"]),
+                int(obj["cols"]), obj[key])
     except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed matrix object: missing {exc}") from exc
-    if len(raw) != rows * cols:
-        raise ShapeMismatch(
-            f"matrix entry count {len(raw)} != {rows}x{cols}")
+        raise ShapeMismatch(f"malformed {kind} object: missing {exc}") from exc
+
+
+def _parse_mat(field, rows: int, cols: int, raw, where: str) -> Mat:
+    """The matrix with the given entry strings; where prefixes the error
+    message's entry index."""
     entries = []
     for idx, text in enumerate(raw):
         try:
             entries.append(field.parse(text))
         except ValueError as exc:
             raise ShapeMismatch(
-                f"entry {idx} ({text!r}) is not a {field.tag} literal") from exc
+                f"{where}entry {idx} ({text!r}) is not a {field.tag} "
+                "literal") from exc
     return Mat(field, rows, cols, entries)
+
+
+def mat_from_obj(obj: dict) -> Mat:
+    field, rows, cols, raw = _header(obj, "matrix", "entries")
+    if len(raw) != rows * cols:
+        raise ShapeMismatch(
+            f"matrix entry count {len(raw)} != {rows}x{cols}")
+    return _parse_mat(field, rows, cols, raw, "")
 
 
 def subspace_to_obj(L: MatrixSubspace) -> dict:
@@ -84,26 +95,13 @@ def subspace_to_obj(L: MatrixSubspace) -> dict:
 
 
 def subspace_from_obj(obj: dict, strict: bool = False) -> MatrixSubspace:
-    try:
-        field = field_from_tag(obj["field"])
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        basis_raw = obj["basis"]
-    except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed subspace object: missing {exc}") from exc
+    field, rows, cols, basis_raw = _header(obj, "subspace", "basis")
     gens = []
     for bi, entry_list in enumerate(basis_raw):
         if len(entry_list) != rows * cols:
             raise ShapeMismatch(
                 f"basis[{bi}] has {len(entry_list)} entries, expected {rows * cols}")
-        entries = []
-        for idx, text in enumerate(entry_list):
-            try:
-                entries.append(field.parse(text))
-            except ValueError as exc:
-                raise ShapeMismatch(
-                    f"basis[{bi}] entry {idx} ({text!r}) is not a "
-                    f"{field.tag} literal") from exc
-        gens.append(Mat(field, rows, cols, entries))
+        gens.append(_parse_mat(field, rows, cols, entry_list, f"basis[{bi}] "))
     return MatrixSubspace.from_generators(
         gens, rows=rows, cols=cols, field=field, strict=strict)
 

@@ -161,6 +161,13 @@ class MatrixSubspace:
         """Coefficients of A over the canonical basis, or None if outside."""
         if A.field != self.field or A.shape != (self.rows, self.cols):
             raise ShapeMismatch("shape or field mismatch in membership test")
+        coeffs, rest = self._reduce(A)
+        return None if any(rest) else coeffs
+
+    def _reduce(self, A: Mat) -> tuple:
+        """(coefficients, rest): A minus the combination of the canonical
+        basis that clears A's pivot coordinates, as that combination's
+        coefficients and the remaining entries of vec(A)."""
         v = list(vec(A))
         coeffs = []
         for B, pc in zip(self.basis, self._pivots):
@@ -171,9 +178,7 @@ class MatrixSubspace:
                 for j, x in enumerate(bv):
                     if x:
                         v[j] = v[j] - c * x
-        if any(v):
-            return None
-        return tuple(coeffs)
+        return tuple(coeffs), v
 
     def contains(self, A: Mat) -> bool:
         return self.coordinates_of(A) is not None

@@ -232,3 +232,10 @@ def test_check_gf9_disproof_mid_block(tmp_path, capsys):
     code, out, _ = invoke(["check", str(path), "-k", "1"], capsys)
     assert code == 0
     assert out == _GF9_DISPROOF
+
+
+def test_non_prime_certification_prime_is_usage_error(capsys):
+    code, out, err = invoke(["sep", "toeplitz:3", "-k", "3", "--primes", "1"],
+                            capsys)
+    assert code == 1 and out == ""
+    assert "must be prime" in err and "Traceback" not in err

@@ -1095,3 +1095,17 @@ def test_ff_lift_pipeline_end_to_end():
     assert v.evidence["ff"]["11"]["lifted"] is True
     assert v.witness.matrix.rank() == 2
     assert v.witness.verify(V)
+
+
+def test_certification_primes_must_be_prime():
+    # a square prime power reduced into GF(p^2) once crashed the lift of a
+    # low-rank element, and 1 divided by zero; neither certifies anything
+    rng = random.Random(1)
+    for _ in range(9):
+        L = random_subspace(rng, QQ, 12, 4, 4, 2)
+    T = toeplitz_space(3)
+    for bad in (9, 4, 1):
+        with pytest.raises(ValueError, match="prime"):
+            check_k_transitive(L, 2, primes=(bad,), strategy="ff")
+        with pytest.raises(ValueError, match="prime"):
+            check_k_separating(T, 3, primes=(5, bad))

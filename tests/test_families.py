@@ -341,3 +341,25 @@ def test_expected_properties_exported():
     assert ep["transitive"] == 2 and ep["not_transitive"] == 3
     ep2 = expected_properties(parse_family("rowaug:toeplitz:3"))
     assert ep2 == {"ambient": (4, 3), "dim": 8, "separating": 3}
+
+
+def test_every_family_name_matches_its_expectations():
+    from translab.families import _FAMILIES, expected_properties
+
+    cases = {
+        "toeplitz": "toeplitz:3", "hankel": "hankel:3",
+        "tracezero": "tracezero:3", "minimal": "minimal:3,4,1",
+        "rankann": "rankann:3,4,1", "vdiag": "vdiag:4,2",
+        "dualtransitive": "dualtransitive", "phiblock": "phiblock:4,1",
+        "sltensor": "sltensor:2,2", "full": "full:2,3", "zero": "zero:2,3",
+        "rowaug": "rowaug:minimal:3,4,1", "pattern": "pattern:3:0.1,2.2",
+    }
+    assert set(cases) == set(_FAMILIES) | {"rowaug", "pattern"}
+    for text in cases.values():
+        spec = parse_family(text)
+        expect = expected_properties(spec)
+        L = build_family(spec)
+        assert (L.dim, (L.rows, L.cols)) == (expect["dim"], expect["ambient"]), text
+    for call in (build_family, expected_properties):
+        with pytest.raises(ParameterOutOfRange):
+            call(FamilySpec("nosuchfamily"))

@@ -134,3 +134,15 @@ def test_binary_form_roots():
     g2 = BinaryForm.gcd([BinaryForm(p(0, 1), 2), BinaryForm(p(0, 0, 1), 2)])
     assert g2.inf_mult == 0 and g2.has_projective_root()
     assert g2.roots_in_field(QQ) == [(F(0), F(1))]
+
+
+def test_exact_square_roots_of_large_integers():
+    from translab.polynomials import _isqrt_exact
+
+    # float square roots lose the last digits past 2^53 and overflow past
+    # about 1e308
+    assert _isqrt_exact(10**400) == 10**200
+    assert _isqrt_exact(10**400 + 1) is None
+    a = 10**30 + 7
+    assert _isqrt_exact(a * a) == a
+    assert set(field_roots(poly_mul(p(-a, 1), p(-1, 1)), QQ)) == {F(a), F(1)}
