@@ -81,6 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from typing import Iterator, Optional
 
 import numpy as np
@@ -508,8 +509,11 @@ def _oversampling(q: int) -> int:
 def _sketch(rows: int, D: int, q: int) -> np.ndarray:
     """The compression matrix S of surjectivity_scan: rows x D residues
     mod q from a constant-seeded generator, so every run repeats the same
-    work."""
-    return np.random.default_rng(0).integers(0, q, size=(rows, D))
+    work.  The stdlib generator spares the GF(p) lane the import of
+    numpy.random, which costs time and peak memory."""
+    rng = random.Random(0)
+    return np.array([[rng.randrange(q) for _ in range(D)]
+                     for _ in range(rows)], dtype=np.int64)
 
 
 def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,

@@ -10,6 +10,17 @@ A in Mat(m, n) and T in Mat(n, m); it is bilinear and non-degenerate, and
 ``preannihilator`` computes the annihilator on the opposite side of it.
 The pairing convention is fixed, not configurable.
 
+Non-degeneracy gives (X^perp)^perp = X over every field here (Q, Q(i),
+GF(p), GF(p^2)), and the canonical basis of a subspace is unique, so the
+pre-annihilator of a pre-annihilator is the space it started from, basis
+for basis and pivot for pivot.  The result of ``preannihilator`` keeps a
+private reference to the space it annihilates and returns that space when
+asked for its own pre-annihilator.  The paper's minimal k-transitive
+spaces are pre-annihilators, so a decision on one, which starts from its
+pre-annihilator, skips an elimination over Q.  Only the result points
+back: a space does not remember its pre-annihilator, since the two
+references would form a cycle that lives until a garbage-collector pass.
+
 Worked 2x2 example of the convention: for A = [[a11, a12], [a21, a22]] and
 T = [[t11, t12], [t21, t22]], Tr(A @ T) = a11 t11 + a12 t21 + a21 t12 +
 a22 t22, so the pairing matrix row built from A is the row-major
@@ -66,7 +77,7 @@ def unvec(field: Field, rows: int, cols: int, v: Sequence) -> Mat:
 class MatrixSubspace:
     """A subspace of Mat(rows, cols) over one of the exact fields."""
 
-    __slots__ = ("rows", "cols", "field", "basis", "_pivots")
+    __slots__ = ("rows", "cols", "field", "basis", "_pivots", "_dual")
 
     def __init__(self, field: Field, rows: int, cols: int,
                  basis: Sequence[Mat], pivots: Sequence[int]):
@@ -76,6 +87,7 @@ class MatrixSubspace:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MatrixSubspace is immutable")
@@ -248,7 +260,15 @@ class MatrixSubspace:
         nonzeros to the right: a reduced row echelon basis.  The RREF of a
         subspace is unique, so this is the basis from_generators would
         build, with the leading positions as its pivots.
+
+        The result points back to this space, and its own pre-annihilator
+        is this space, returned without elimination: (X^perp)^perp = X for
+        the non-degenerate trace pairing, and both have unique canonical
+        bases.  This space keeps no reference to the result (see the
+        module docstring).
         """
+        if self._dual is not None:
+            return self._dual
         m, n = self.rows, self.cols
         N = n * m
         f = self.field
@@ -257,9 +277,11 @@ class MatrixSubspace:
         rows = [[e[t] for t in order] for e in map(Mat.entries, self.basis)]
         kern, piv = _kernel_rows(rows, N, f)
         taken = set(piv)
-        return MatrixSubspace(
+        perp = MatrixSubspace(
             f, n, m, [unvec(f, n, m, kv[::-1]) for kv in reversed(kern)],
             [k for k in range(N) if N - 1 - k not in taken])
+        object.__setattr__(perp, "_dual", self)
+        return perp
 
     def tensor(self, other: "MatrixSubspace") -> "MatrixSubspace":
         """Span of Kronecker products of basis pairs; block convention:
