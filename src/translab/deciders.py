@@ -38,6 +38,7 @@ Verdict statuses:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -52,6 +53,7 @@ from .errors import (BadPrime, BudgetExceeded, DimensionTooLarge,
 from .fields import (
     QI,
     QQ,
+    GF,
     Field,
     GaussianRational,
     PrimeFieldDomain,
@@ -449,39 +451,38 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
 
 def _minor_forms(B0: Mat, B1: Mat, size: int) -> list:
     """All size x size minors of c0 B0 + c1 B1 as binary forms (dehomogenized
-    at c1 = 1, entries are degree <= 1 polynomials in t = c0)."""
+    at c1 = 1, entries are degree <= 1 polynomials in t = c0).
+
+    Each minor is expanded along its first row, skipping zero entries.  The
+    minor on the remaining rows and columns is memoized, so minors that
+    share their trailing rows share those expansions."""
     m, n = B0.shape
-    forms = []
-    for rows in itertools.combinations(range(m), size):
-        for cols in itertools.combinations(range(n), size):
-            det = ()
-            for perm in itertools.permutations(range(size)):
-                acc = (B1[rows[0], cols[perm[0]]], B0[rows[0], cols[perm[0]]])
-                for i in range(1, size):
-                    e = (B1[rows[i], cols[perm[i]]], B0[rows[i], cols[perm[i]]])
-                    acc = poly_mul(acc, e)
-                if _perm_sign(perm) < 0:
-                    acc = poly_neg(acc)
-                det = poly_add(det, acc)
-            forms.append(BinaryForm(det, size))
-    return forms
+    entries = {(i, j): (B1[i, j], B0[i, j]) for i in range(m)
+               for j in range(n) if B0[i, j] or B1[i, j]}
+    memo: dict = {}
 
+    def minor(rows, cols):
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        det = ()
+        for j, c in enumerate(cols):
+            e = entries.get((rows[0], c))
+            if e is None:
+                continue
+            if len(rows) == 1:
+                det = poly_add(det, e)
+                continue
+            sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+            if sub:
+                term = poly_mul(e, sub)
+                det = poly_add(det, poly_neg(term) if j % 2 else term)
+        memo[key] = det
+        return det
 
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return [BinaryForm(minor(rows, cols), size)
+            for rows in itertools.combinations(range(m), size)
+            for cols in itertools.combinations(range(n), size)]
 
 
 # -------------------------------------------------------- numeric search
@@ -578,10 +579,10 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         # the route scan over GF(p); a rank <= k element found there ends
         # certification once its plain or centered lift verifies over L's
         # field
-        Lq, perp_q = reductions
+        own_q, perp_q = reductions
         try:
-            coeffs, _T = _low_rank_over_own_field(Lq, perp_q, k, budget,
-                                                  info)
+            coeffs, _T = _low_rank_over_own_field(GF(p), L, own_q, perp_q,
+                                                  k, budget, info)
         except BudgetExceeded as exc:
             info["skipped"] = str(exc)
             return False
@@ -598,12 +599,13 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         return False
 
     if strategy in ("auto", "ff"):
-        # L mod p first, then Lp's BadPrime at p; Lp itself is reduced
-        # only when a route needs it
-        den = _denominator_lcm(Lp)
+        # L's BadPrime at p first, then Lp's; each is reduced only when a
+        # route needs it
+        dens = _denominator_lcm(L), _denominator_lcm(Lp)
         verdict = _certify_over_primes(
             TransitivityVerdict, k,
-            lambda p: (L.reduce_mod(p), _reduction_when_needed(Lp, p, den)),
+            lambda p: (_reduction_when_needed(L, p, dens[0]),
+                       _reduction_when_needed(Lp, p, dens[1])),
             primes, ev, at_prime)
         if verdict is not None:
             return verdict
@@ -631,7 +633,8 @@ def _cert_to_strings(cert, f: Field):
 def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
     """Exhaustive decision over the subspace's own finite field."""
     try:
-        coeffs, T = _low_rank_over_own_field(L, lambda: Lp, k, budget, ev)
+        coeffs, T = _low_rank_over_own_field(L.field, L, lambda: L,
+                                             lambda: Lp, k, budget, ev)
     except BudgetExceeded:
         ev["steps"].append("enumeration exceeds the budget")
         return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
@@ -687,11 +690,12 @@ def _choose_route(f, m: int, n: int, d_perp: int, k: int, budget: int):
     return route, witness_route, counts
 
 
-def _low_rank_over_own_field(L, perp, k, budget, info):
-    """The first nonzero element of rank <= k of Lp = perp(), L's
-    pre-annihilator, over L's own finite field, as (coeffs, T), or
-    (None, None) when there is none; perp is called only by the routes
-    that need Lp.
+def _low_rank_over_own_field(f, L, own, perp, k, budget, info):
+    """The first nonzero element of rank <= k of Lp = perp(), the
+    pre-annihilator of L over the finite field f, as (coeffs, T), or
+    (None, None) when there is none.  own() is L over f; only L's shape
+    and dimension are read, which a reduction keeps.  own and perp are
+    called only by the routes that need them.
 
     Runs the route of _choose_route and records the compared counts, the
     route and its points in info.  The witness is the first one of the
@@ -701,7 +705,7 @@ def _low_rank_over_own_field(L, perp, k, budget, info):
     route fits the budget.
     """
     route, witness_route, info["route_choice"] = _choose_route(
-        L.field, L.rows, L.cols, L.rows * L.cols - L.dim, k, budget)
+        f, L.rows, L.cols, L.rows * L.cols - L.dim, k, budget)
     if route is None:
         raise BudgetExceeded("both enumeration routes exceed the budget")
     info["route"] = route
@@ -712,27 +716,28 @@ def _low_rank_over_own_field(L, perp, k, budget, info):
         # L is k-transitive iff L^T is: (L^T)^perp = (L^perp)^T, and
         # transposing keeps every rank
         ok, _X, info["points"] = modp.surjectivity_scan(
-            _subspace_to_int_array(L).transpose(0, 2, 1), k, L.field.size)
+            _subspace_to_int_array(own()).transpose(0, 2, 1), k, f.size)
         if ok:
             return None, None
         info["witness_route"] = witness_route
         if steps is not None:
             steps.append(_STEP_TEXT[witness_route])
         coeffs, T, info["witness_points"] = _witness_route_scan(
-            witness_route, L, perp, k, budget)
+            witness_route, own, perp, k, budget)
         _require(coeffs is not None, "output-subspace scan")
         return coeffs, T
-    coeffs, T, info["points"] = _witness_route_scan(route, L, perp, k,
+    coeffs, T, info["points"] = _witness_route_scan(route, own, perp, k,
                                                     budget)
     return coeffs, T
 
 
-def _witness_route_scan(route, L, perp, k, budget):
-    """(coeffs, T, points) of the first rank <= k element of Lp = perp()
-    that the input-subspace or pre-annihilator route finds, coeffs and T
-    None when it finds none."""
+def _witness_route_scan(route, own, perp, k, budget):
+    """(coeffs, T, points) of the first rank <= k element of Lp = perp(),
+    the pre-annihilator of L = own(), that the input-subspace or
+    pre-annihilator route finds, coeffs and T None when it finds none."""
     if route == "pre-annihilator":
         return _ff_low_rank_threshold(perp(), k, budget)
+    L = own()
     ok, X, pts = definitional_k_transitive_ff(L, k, budget)
     if ok:
         return None, None, pts
@@ -817,10 +822,10 @@ def _reduction_when_needed(S: MatrixSubspace, p: int, den: int):
     When the reduction may raise BadPrime it runs here, so that it raises
     here with its own text.  It cannot raise when p is a prime that
     divides no denominator and, over Q(i), -1 is a square mod p; then it
-    runs only when the function is called.
+    runs when the function is first called.
     """
     if is_prime(p) and den % p and (S.field == QQ or p == 2 or p % 4 == 1):
-        return lambda: S.reduce_mod(p)
+        return functools.cache(lambda: S.reduce_mod(p))
     Sp = S.reduce_mod(p)
     return lambda: Sp
 

@@ -18,6 +18,7 @@ check and the next update.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -61,9 +62,19 @@ def _float_setup(space: MatrixSubspace) -> tuple:
     return flat, flat_h, np.linalg.pinv(flat @ flat_h.T)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of x by np.linalg.norm's own formula (the square
+    root of the dot products of the real and imaginary parts with
+    themselves), without its dispatch."""
+    x = x.ravel()
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _truncate_rank(T: np.ndarray, k: int) -> np.ndarray:
     U, s, Vh = np.linalg.svd(T, full_matrices=False)
-    s = s.copy()
     s[k:] = 0.0
     return (U * s) @ Vh
 
@@ -92,21 +103,21 @@ def numeric_low_rank_coefficients(space: MatrixSubspace, k: int, *,
         c = rng.standard_normal(D)
         if complex_field:
             c = c + 1j * rng.standard_normal(D)
-        c = c / np.linalg.norm(c)
+        c = c / _norm(c)
         Tk = _truncate_rank((c @ flat).reshape(m, n), k)
         ok = False
         for _ in range(iterations):
             c_new = gram_pinv @ (flat_h @ Tk.reshape(-1))
-            nrm = np.linalg.norm(c_new)
+            nrm = _norm(c_new)
             if nrm < 1e-13:
                 break
             c_new = c_new / nrm
-            delta = np.linalg.norm(c_new - c)
+            delta = _norm(c_new - c)
             c = c_new
             T = (c @ flat).reshape(m, n)
             Tk = _truncate_rank(T, k)
-            resid = np.linalg.norm(T - Tk)
-            scale = max(np.linalg.norm(T), 1e-300)
+            resid = _norm(T - Tk)
+            scale = max(_norm(T), 1e-300)
             if resid / scale < tol:
                 ok = True
                 break

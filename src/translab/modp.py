@@ -54,30 +54,49 @@ element a + b w is coded a*p + b, its index in QuadExtDomain.elements().
 A matrix X + w Y in Mat(m, n) acts on GF(p)^(2n) as the real form
 [[X, omega Y], [Y, X]] (_real_form), whose rank over GF(p) is twice the
 rank of X + w Y over GF(p^2), so the ranks come from batched_rank_mod_p.
-Blocks then hold about a chunk of real-form entries rather than a chunk
+Pieces then hold about a chunk of real-form entries rather than a chunk
 of points: each real form has 4 m n entries.
 
-Every scan ranks its logical blocks in tiles.  A logical block is what a
-scan enumerates at once: chunk points, or a set number of cells for the
-GF(p^2) real forms and for the separation scan's merged blocks of flags.
-It fixes the points a scan reports and, in the definitional scan, the
-prefix route above.  A tile is a stretch of consecutive points
-of one block whose products hold at most _TILE_CELLS = 2^20 cells (one
-point at least); a tile of the prefix route holds whole runs.  Each tile
-forms its own products, the kernel's working copy and its scratch, so a
-scan's working set no longer grows with chunk: at phi-block-4-1's shape,
-blocks of 32,768 points with 96-cell products, tracemalloc's peak per
-definitional scan is 4.0 MiB against 12.0 MiB for whole blocks, and the
-peak RSS of `translab report paper` about 43 MB against 52 MB.  Ranks
-are independent per point, and tiles run in enumeration order with the
-first tile that settles a scan ending it, so the answer and witness are
-those of whole blocks; points still counts whole blocks (over GF(p^2),
-the position of a threshold hit), so nothing a scan returns depends on
-the tile.
+Every scan walks its enumeration in pieces, blocks and tiles.  A piece
+is what the enumeration yields at once: the points of one pivot set
+(iter_rref_blocks) or of one leading coordinate (iter_projective_blocks),
+cut into at most chunk points (over GF(p^2), about a chunk of real-form
+entries).  A block is what a scan forms at once: one piece, or
+consecutive whole pieces joined so that one kernel call ranks them all
+(_blocks), or for the separation scan a merge of consecutive pieces of
+flags.  A tile is a stretch of consecutive points of one block whose
+products hold at most _TILE_CELLS = 2^20 cells (one point at least); a
+tile of the prefix route holds whole runs.  Each tile forms its own
+products, the kernel's working copy and its scratch, so a scan's working
+set does not grow with chunk: at phi-block-4-1's shape, blocks of 32,768
+points with 96-cell products, tracemalloc's peak per definitional scan is
+4.0 MiB against 12.0 MiB for whole blocks.
+
+A kernel call costs about 0.1 ms whatever its size, which is most of the
+time of a piece of a few dozen points, so _blocks joins small pieces.  A
+scan's first piece is ranked alone, so a hit there (often the first
+point, in the projective order) costs what it would with no joining.
+Each later block joins pieces of up to _JOIN_FLOOR product cells, or up
+to the cells already ranked when that is more, at most _TILE_CELLS, so
+the work a hit can leave wasted stays small against what came before
+it.  A piece is built only with its block, never held while the next one
+is built.  The rref order starts with its largest piece, so the rest of
+a mid-size scan joins into one block; the projective order grows q-fold
+per piece, so there the second block is the one that joins.  In the
+definitional scan a joined block holds too few points for the prefix
+route, as each of its pieces would alone.
+
+Ranks are independent per point, and tiles run in enumeration order with
+the first tile that settles a scan ending it, so the answer and witness
+are those of ranking every point alone.  points counts every point of
+the whole pieces up to and including the piece that holds the hit (over
+GF(p^2), the position of a threshold hit), or every point when nothing
+ends the scan, so nothing a scan returns depends on its blocks or tiles.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -297,26 +316,41 @@ def projective_count(d: int, q: int) -> int:
     return (q**d - 1) // (q - 1)
 
 
-def iter_projective_blocks(d: int, q: int,
-                           chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """Projective representatives of GF(q)^d in ascending lexicographic
-    order of the raw coefficient tuple, first nonzero coordinate scaled
-    to 1.  Yields (B, d) blocks; concatenating all blocks gives the full
-    enumeration in order.
-    """
+def _projective_pieces(d: int, q: int,
+                       chunk: int) -> Iterator[tuple]:
+    """(size, build) for each piece of iter_projective_blocks(d, q, chunk),
+    in order: build() makes the piece, so its size is known before it is
+    built."""
     for lead in range(d - 1, -1, -1):
         nfree = d - 1 - lead
         total = q**nfree
         for start in range(0, total, chunk):
             cnt = min(chunk, total - start)
-            arr = np.zeros((cnt, d), dtype=np.int32)
-            arr[:, lead] = 1
-            if nfree:
-                idx = np.arange(start, start + cnt, dtype=np.int64)
-                for pos in range(nfree - 1, -1, -1):
-                    arr[:, lead + 1 + pos] = idx % q
-                    idx //= q
-            yield arr
+            yield cnt, functools.partial(_projective_piece, d, q, lead,
+                                         start, cnt)
+
+
+def _projective_piece(d: int, q: int, lead: int, start: int,
+                      cnt: int) -> np.ndarray:
+    arr = np.zeros((cnt, d), dtype=np.int32)
+    arr[:, lead] = 1
+    idx = np.arange(start, start + cnt, dtype=np.int64)
+    for pos in range(d - 1, lead, -1):
+        arr[:, pos] = idx % q
+        idx //= q
+    return arr
+
+
+def iter_projective_blocks(d: int, q: int,
+                           chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
+    """Projective representatives of GF(q)^d in ascending lexicographic
+    order of the raw coefficient tuple, first nonzero coordinate scaled
+    to 1.  Yields (B, d) blocks, one per leading coordinate cut into at
+    most chunk points; concatenating all blocks gives the full
+    enumeration in order.
+    """
+    for _, build in _projective_pieces(d, q, chunk):
+        yield build()
 
 
 def _pivot_sets(n: int, k: int, order: str):
@@ -331,35 +365,43 @@ def _pivot_sets(n: int, k: int, order: str):
     raise ValueError(f"unknown pivot order {order!r}")
 
 
-def iter_rref_blocks(n: int, k: int, q: int, chunk: int = DEFAULT_CHUNK,
-                     order: str = "lex") -> Iterator[np.ndarray]:
-    """Row-RREF representatives of the k-dimensional subspaces of GF(q)^n.
-
-    Yields (B, k, n) blocks; rows of each representative are the canonical
-    basis with strictly increasing pivots.  Free entries ascend in raw
-    lexicographic order with row-major significance.
-    """
-    if k == 0:
-        yield np.zeros((1, 0, n), dtype=np.int32)
-        return
+def _rref_pieces(n: int, k: int, q: int, chunk: int,
+                 order: str) -> Iterator[tuple]:
+    """(size, build) for each piece of iter_rref_blocks(n, k, q, chunk,
+    order), in order, as in _projective_pieces."""
     for pivots in _pivot_sets(n, k, order):
         pivset = set(pivots)
         free = [(r, c) for r in range(k)
                 for c in range(pivots[r] + 1, n) if c not in pivset]
-        base = np.zeros((k, n), dtype=np.int32)
-        for r, pc in enumerate(pivots):
-            base[r, pc] = 1
         total = q ** len(free)
         for start in range(0, total, chunk):
             cnt = min(chunk, total - start)
-            arr = np.repeat(base[None, :, :], cnt, axis=0)
-            if free:
-                idx = np.arange(start, start + cnt, dtype=np.int64)
-                for pos in range(len(free) - 1, -1, -1):
-                    r, c = free[pos]
-                    arr[:, r, c] = idx % q
-                    idx //= q
-            yield arr
+            yield cnt, functools.partial(_rref_piece, n, q, pivots, free,
+                                         start, cnt)
+
+
+def _rref_piece(n: int, q: int, pivots: tuple, free: list, start: int,
+                cnt: int) -> np.ndarray:
+    arr = np.zeros((cnt, len(pivots), n), dtype=np.int32)
+    arr[:, range(len(pivots)), list(pivots)] = 1
+    idx = np.arange(start, start + cnt, dtype=np.int64)
+    for r, c in reversed(free):
+        arr[:, r, c] = idx % q
+        idx //= q
+    return arr
+
+
+def iter_rref_blocks(n: int, k: int, q: int, chunk: int = DEFAULT_CHUNK,
+                     order: str = "lex") -> Iterator[np.ndarray]:
+    """Row-RREF representatives of the k-dimensional subspaces of GF(q)^n.
+
+    Yields (B, k, n) blocks, one per pivot set cut into at most chunk
+    points; rows of each representative are the canonical basis with
+    strictly increasing pivots.  Free entries ascend in raw lexicographic
+    order with row-major significance.
+    """
+    for _, build in _rref_pieces(n, k, q, chunk, order):
+        yield build()
 
 
 def _merge_blocks(blocks: Iterator[np.ndarray],
@@ -393,6 +435,50 @@ def _tiles(B: int, cells: int) -> list:
     return [(i * B // count, (i + 1) * B // count) for i in range(count)]
 
 
+def _blocks(pieces: Iterator[tuple], cells: int,
+            most: int | None = None) -> Iterator[tuple]:
+    """Consecutive pieces of an enumeration joined into blocks, in order.
+
+    pieces yields (size, build) pairs as _projective_pieces does, and each
+    point costs `cells` product cells.  The first block is the first
+    piece.  Each later block is one piece, or the longest run of whole
+    pieces whose cells fit in min(_TILE_CELLS, max(_JOIN_FLOOR, cells of
+    the points before it)), so that it is one tile, and whose points
+    number at most `most` when given.  Yields (block, ends), ends[j] being
+    the enumeration position just past the block's j-th piece.  Pieces
+    are built with their block, so a piece alone in its block is yielded
+    before the next is built.
+    """
+    pieces = iter(pieces)
+    pos = 0
+    nxt = next(pieces, None)
+    while nxt is not None:
+        cap = 0
+        if pos:
+            cells_cap = min(_TILE_CELLS, max(_JOIN_FLOOR, pos * cells))
+            cap = cells_cap // max(cells, 1)
+        if most is not None:
+            cap = min(cap, most)
+        ends = [pos + nxt[0]]
+        builds = [nxt[1]]
+        nxt = next(pieces, None)
+        while nxt is not None and ends[-1] + nxt[0] - pos <= cap:
+            ends.append(ends[-1] + nxt[0])
+            builds.append(nxt[1])
+            nxt = next(pieces, None)
+        pos = ends[-1]
+        if len(builds) == 1:
+            yield builds[0](), ends
+        else:
+            yield np.concatenate([build() for build in builds]), ends
+
+
+def _through(ends: list, block: np.ndarray, i: int) -> int:
+    """The points a scan ending at point i of a block of _blocks reports:
+    every point of the whole pieces up to the one holding point i."""
+    return ends[bisect.bisect_right(ends, ends[-1] - len(block) + i)]
+
+
 # ------------------------------------------------------------------- scans
 
 def _real_form(codes: np.ndarray, p: int, omega: int | None) -> np.ndarray:
@@ -405,26 +491,25 @@ def _real_form(codes: np.ndarray, p: int, omega: int | None) -> np.ndarray:
     return np.block([[X, omega * Y % p], [Y, X]])
 
 
-def _projective_codes(d: int, q: int, omega: int | None,
-                      chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """The blocks of iter_projective_blocks(d, q, chunk) as element codes:
+def _as_codes(block: np.ndarray, q: int, omega: int | None) -> np.ndarray:
+    """A block of iter_projective_blocks(d, q) as element codes, in place:
     over GF(p^2) the leading coordinate, one, is code p."""
-    for codes in iter_projective_blocks(d, q, chunk):
-        if omega is not None:
-            lead = (codes != 0).argmax(axis=1)
-            codes[np.arange(len(codes)), lead] = math.isqrt(q)
-        yield codes
+    if omega is not None:
+        lead = (block != 0).argmax(axis=1)
+        block[np.arange(len(block)), lead] = math.isqrt(q)
+    return block
 
 
-def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
+def _ranked_joined(basis: np.ndarray, q: int, chunk: int,
                    omega: int | None):
-    """(coefficient block, tiles) pairs over the projective combinations
-    of the basis matrices, in the order of iter_projective_blocks; tiles
-    yields (offset, ranks) for the consecutive tiles of the block (see
-    _tiles), ranked only as it is read.
+    """(block, ends, tiles) for the blocks of projective combinations of
+    the basis matrices, in the order of iter_projective_blocks: block
+    holds coefficient codes, ends is as in _blocks, and tiles yields
+    (offset, ranks) for the consecutive tiles of the block (see _tiles),
+    ranked only as it is read.
 
     basis: (D, m, n) array of element codes in [0, q).  With omega None, q
-    is prime and blocks hold chunk points.  Otherwise q = p^2, w^2 = omega,
+    is prime and pieces hold chunk points.  Otherwise q = p^2, w^2 = omega,
     and the ranks come from the real forms (see the module docstring).
     """
     D, m, n = basis.shape
@@ -449,11 +534,19 @@ def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
                 .reshape(n, m, -1).transpose(2, 1, 0), p)
             yield lo, ranks if omega is None else ranks // 2
 
-    for codes in _projective_codes(D, q, omega, chunk):
-        coords = codes
+    for codes, ends in _blocks(_projective_pieces(D, q, chunk), m * n):
+        coords = _as_codes(codes, q, omega)
         if omega is not None:
             coords = np.concatenate([codes // p, codes % p], axis=1)
-        yield codes, tiles(coords)
+        yield codes, ends, tiles(coords)
+
+
+def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
+                   omega: int | None):
+    """The (block, tiles) pairs of _ranked_joined, for scans that visit
+    every point."""
+    for codes, _, tiles in _ranked_joined(basis, q, chunk, omega):
+        yield codes, tiles
 
 
 def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
@@ -470,29 +563,30 @@ def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
     point can beat).  With a threshold, returns as soon as the first element
     of rank <= threshold is found; min_rank is then that element's rank and
     coeffs its coefficients, or (None, None, points) if none exists.
-    points counts whole blocks, except at a threshold hit over GF(p^2),
-    where it is the hit's position in the enumeration.
+    points counts the whole pieces up to the one holding the element
+    returned early, or all of them (see the module docstring), except at
+    a threshold hit over GF(p^2), where it is the hit's position in the
+    enumeration.
     """
     best_rank = best_coeffs = None
     points = 0
-    for block, tiles in _ranked_blocks(basis, q, chunk, omega):
-        points += len(block)
+    for block, ends, tiles in _ranked_joined(basis, q, chunk, omega):
+        points = ends[-1]
         for lo, ranks in tiles:
             if threshold is not None:
-                hit = np.nonzero(ranks <= threshold)[0]
+                hit = np.flatnonzero(ranks <= threshold)
                 if hit.size:
-                    i = int(hit[0])
-                    if omega is not None:
-                        points += lo + i + 1 - len(block)
-                    return int(ranks[i]), block[lo + i].copy(), points
+                    i = lo + int(hit[0])
+                    points = (_through(ends, block, i) if omega is None
+                              else points - len(block) + i + 1)
+                    return int(ranks[hit[0]]), block[i].copy(), points
                 continue
             local = int(ranks.min())
             if best_rank is None or local < best_rank:
-                i = int(np.argmax(ranks == local))
-                best_rank = local
-                best_coeffs = block[lo + i].copy()
+                i = lo + int(np.argmax(ranks == local))
+                best_rank, best_coeffs = local, block[i].copy()
                 if best_rank == 1:
-                    return best_rank, best_coeffs, points
+                    return best_rank, best_coeffs, _through(ends, block, i)
     return best_rank, best_coeffs, points
 
 
@@ -544,6 +638,16 @@ def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
 # the int8 kernel the report's and certify-scan's blocks break even
 # between savings of 4.7e5 and 6.2e5
 _PREFIX_MIN_SAVING = 1 << 19
+
+# a scan's blocks after its first piece join pieces of up to this many
+# product cells in all, or up to the cells ranked before them (see
+# _blocks).  Measured in process (min of 400 interleaved runs, 2-CPU
+# host) on six min_rank_scan shapes over GF(3), GF(5), GF(7) and GF(9):
+# a rank-one first point took 0.07-0.17 ms at every floor, its piece
+# being alone, while full scans of 10-121 points took 0.37-0.47 ms with
+# no joins, 0.21-0.44 ms at 2^10 cells and 0.21-0.40 ms at 2^12; 2^14
+# gained nothing more
+_JOIN_FLOOR = 1 << 12
 
 
 def _prefix_ranks(pre: np.ndarray, runs: np.ndarray, x: np.ndarray,
@@ -608,6 +712,15 @@ def _run_tiles(runs: np.ndarray, B: int, per_run: int,
     return bounds
 
 
+def _prefix_saving(W: np.ndarray, m: int, k: int) -> int:
+    """The cell updates the prefix route saves per point of a block of
+    representatives of k rows, over the basis matrices in W (see
+    _input_tiles)."""
+    R, n = W.shape[0] // m, W.shape[1]
+    t = m * k
+    return R * ((t * (t - 1) - m * (m - 1)) // 2 - (n - k + 1) * m)
+
+
 def _input_tiles(block: np.ndarray, W: np.ndarray, m: int, q: int):
     """(offset, ranks) for consecutive tiles of the block: the ranks of
     the matrices of _input_products(block, W, m, q), tile by tile, each
@@ -630,8 +743,7 @@ def _input_tiles(block: np.ndarray, W: np.ndarray, m: int, q: int):
     B, k, n = block.shape
     R = W.shape[0] // m
     t = m * k
-    saving = B * R * ((t * (t - 1) - m * (m - 1)) // 2 - (n - k + 1) * m)
-    direct = k == 1 or saving < _PREFIX_MIN_SAVING
+    direct = k == 1 or B * _prefix_saving(W, m, k) < _PREFIX_MIN_SAVING
     if not direct:
         pre = block[:, :k - 1]
         shift = (pre[1:] != pre[:-1]).any(axis=(1, 2))
@@ -689,8 +801,8 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     each point (rank M = rank M1 + rank Q M2, Q spanning the left kernel
     of M1) where that saves work.  Every point gets its own rank, so
     points, candidates and the first failure are those of ranking each M
-    directly, whatever the tiles; points counts every point of the blocks
-    begun.
+    directly, whatever the blocks and tiles; points counts every point of
+    the pieces up to the one holding the first failure.
 
     Returns (ok, first_failure, points): first_failure is the (n, k) input
     matrix (columns are the representative rows) of the first failing
@@ -707,15 +819,21 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
         flat = basis.reshape(D, m * n) % q
         probe = _basis_rows(
             _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
-    for block in iter_rref_blocks(n, k, q, chunk):
-        points += block.shape[0]
+    # pieces joined into one block take the direct route, as each of them
+    # does alone: their saving stays below _PREFIX_MIN_SAVING
+    per = _prefix_saving(probe, m, k)
+    most = (_PREFIX_MIN_SAVING - 1) // per if per > 0 else None
+    pieces = _rref_pieces(n, k, q, chunk, "lex")
+    for block, ends in _blocks(pieces, len(probe) * k, most):
+        points = ends[-1]
         for lo, ranks in _input_tiles(block, probe, m, q):
-            bad = np.nonzero(ranks < target)[0]
+            bad = np.flatnonzero(ranks < target)
             if sketched and bad.size:
                 cand = block[lo:lo + len(ranks)][bad]
                 bad = bad[_input_ranks(cand, full, m, q) < target]
             if bad.size:
-                return False, block[lo + int(bad[0])].T.copy(), points
+                i = lo + int(bad[0])
+                return False, block[i].T.copy(), _through(ends, block, i)
     return True, None, points
 
 
@@ -828,8 +946,8 @@ def rank_one_pair_scan(cokernel: np.ndarray, m: int, n: int, q: int,
     both in the projective order of iter_projective_blocks).
     """
     p = q if omega is None else math.isqrt(q)
-    xs = np.concatenate(list(_projective_codes(m, q, omega)))
-    ys = np.concatenate(list(_projective_codes(n, q, omega)))
+    xs, ys = (_as_codes(np.concatenate(list(iter_projective_blocks(d, q))),
+                        q, omega) for d in (m, n))
     # rows[b]: the last row of the real form of x_b^T
     rows = _real_form(xs[:, None, :], p, omega)[:, -1]
     # C[i, r*n2 + j]: entry (i, j) of the real form of C_r

@@ -1109,3 +1109,94 @@ def test_certification_primes_must_be_prime():
             check_k_transitive(L, 2, primes=(bad,), strategy="ff")
         with pytest.raises(ValueError, match="prime"):
             check_k_separating(T, 3, primes=(5, bad))
+
+
+# ------------------------------------------- lazy reductions, pencil minors
+
+def test_preannihilator_route_never_reduces_the_space(monkeypatch):
+    # the pre-annihilator route reads only L's field, shape and dimension,
+    # so at each certification prime only Lp is reduced
+    L = minimal_k_transitive(5, 5, 3)
+    real = MatrixSubspace.reduce_mod
+    reduced = []
+
+    def spy(self, q):
+        reduced.append((self.dim, q))
+        return real(self, q)
+
+    monkeypatch.setattr(MatrixSubspace, "reduce_mod", spy)
+    v = check_k_transitive(L, 3)
+    assert v.status == Status.CERTIFIED_FINITE_FIELD
+    assert {i["route"] for p, i in v.evidence["ff"].items()
+            if p != "certified_primes"} == {"pre-annihilator"}
+    assert reduced == [(L.preannihilator().dim, p) for p in DEFAULT_PRIMES]
+
+
+def _leibniz_minor_forms(B0, B1, size):
+    # every size x size minor of c0 B0 + c1 B1 by the Leibniz formula:
+    # one product per permutation, its sign read off its inversions
+    from translab.polynomials import BinaryForm, poly_add, poly_mul, poly_neg
+
+    m, n = B0.shape
+    forms = []
+    for rows in itertools.combinations(range(m), size):
+        for cols in itertools.combinations(range(n), size):
+            det = ()
+            for perm in itertools.permutations(range(size)):
+                acc = (B1[rows[0], cols[perm[0]]], B0[rows[0], cols[perm[0]]])
+                for i in range(1, size):
+                    acc = poly_mul(acc, (B1[rows[i], cols[perm[i]]],
+                                         B0[rows[i], cols[perm[i]]]))
+                inversions = sum(perm[a] > perm[b] for a in range(size)
+                                 for b in range(a + 1, size))
+                det = poly_add(det, poly_neg(acc) if inversions % 2 else acc)
+            forms.append(BinaryForm(det, size))
+    return forms
+
+
+def test_minor_forms_match_leibniz_expansion():
+    # the shared cofactor expansion gives the Leibniz polynomials exactly,
+    # coefficient types included, on random pencils over Q and Q(i) with
+    # many zero entries
+    from translab.deciders import _minor_forms
+    from translab.fields import QI, GaussianRational
+
+    rng = random.Random(20)
+    for _ in range(120):
+        f = rng.choice([QQ, QI])
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        size = rng.randint(1, min(m, n))
+
+        def entry():
+            x = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
+            x = x if rng.random() < 0.6 else Fraction(0)
+            if f == QI:
+                return GaussianRational(x, Fraction(rng.randint(-1, 1)))
+            return x
+
+        B0, B1 = (Mat(f, m, n, [entry() for _ in range(m * n)])
+                  for _ in range(2))
+
+        def key(F):
+            return (F.poly, [type(c) for c in F.poly], F.inf_mult, F.degree)
+
+        assert ([key(F) for F in _minor_forms(B0, B1, size)]
+                == [key(F) for F in _leibniz_minor_forms(B0, B1, size)])
+
+
+def test_pencil_minors_at_n7_within_time_bound():
+    # ROADMAP item 1's pencil: the 2-dim space spanned by two random 7 x 7
+    # matrices with entries -1..1 (random.Random(0)), at k = 3.  The
+    # Leibniz expansion took about 1.2 s for its 1,225 4-minors of 24
+    # products each; the shared expansion takes about 0.15 s on a 2-CPU
+    # host, and the bound leaves room for a loaded one
+    import time
+
+    rng = random.Random(0)
+    gens = [Mat(QQ, 7, 7, [Fraction(rng.randint(-1, 1)) for _ in range(49)])
+            for _ in range(2)]
+    V = MatrixSubspace.from_generators(gens, rows=7, cols=7, field=QQ)
+    t0 = time.perf_counter()
+    res = pencil_min_rank_exact(V, 3)
+    assert time.perf_counter() - t0 < 1.0
+    assert not res.low_rank_exists and res.gcd_certificate is not None

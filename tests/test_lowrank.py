@@ -186,3 +186,16 @@ def test_search_forms_its_float_setup_once(monkeypatch):
     stats = {}
     assert search_low_rank_element(V, 1, seed=0, stats=stats) is None
     assert stats["restarts"] == 10 and setups == [V]
+
+
+def test_norm_matches_numpy_bit_for_bit():
+    # the search's norms must equal np.linalg.norm exactly, or its
+    # iterates, hits and stats would drift
+    from translab.lowrank import _norm
+
+    rng = np.random.default_rng(7)
+    for shape in [(1,), (5,), (17,), (3, 4), (6, 6)]:
+        x = rng.standard_normal(shape)
+        z = x + 1j * rng.standard_normal(shape)
+        for v in (x, z, x * 1e-200, z * 1e150):
+            assert _norm(v) == np.linalg.norm(v)

@@ -624,3 +624,202 @@ def test_phi_block_scans_rank_in_tiles():
             tracemalloc.stop()
         assert got == (True, None, projective_count(8, 5))
         assert peak <= 6 << 20, peak
+
+
+# ------------------------------------------------ pieces joined into blocks
+
+def _exact_ranks_of_codes(f, basis, codes):
+    """Exact ranks of sum_d c_d A_d for each row of coefficient codes,
+    codes and basis entries indexing f.elements()."""
+    elems = f.elements()
+    D, m, n = basis.shape
+    mats = [Mat.from_rows(f, [[elems[int(x)] for x in row] for row in B])
+            for B in basis]
+    ranks = []
+    for row in codes:
+        acc = Mat.zeros(f, m, n)
+        for c, A in zip(row, mats):
+            acc = acc + A.scale(elems[int(c)])
+        ranks.append(acc.rank())
+    return ranks
+
+
+def _projective_reference(f, basis, chunk, threshold=None, extremes=False):
+    """The projective scans piece by piece, with exact ranks: each piece of
+    iter_projective_blocks is ranked on its own (over GF(p^2) pieces hold
+    chunk // (4 m n) points and the leading one is code p).  Returns what
+    min_rank_scan (or rank_extremes_scan) must return."""
+    D, m, n = basis.shape
+    q = f.size
+    quad = q != f.characteristic
+    if quad:
+        chunk = max(1, chunk // (4 * m * n))
+    best = best_c = s = s_c = None
+    points = 0
+    for piece in iter_projective_blocks(D, q, chunk):
+        codes = piece.copy()
+        if quad:
+            lead = (codes != 0).argmax(axis=1)
+            codes[np.arange(len(codes)), lead] = f.characteristic
+        ranks = _exact_ranks_of_codes(f, basis, codes)
+        start = points
+        points += len(codes)
+        for i, r in enumerate(ranks):
+            if threshold is not None:
+                if r <= threshold:
+                    return r, codes[i], start + i + 1 if quad else points
+                continue
+            if best is None or r < best:
+                best, best_c = r, codes[i]
+                if r == 1 and not extremes:
+                    return best, best_c, points
+            if extremes and r < n and (s is None or r > s):
+                s, s_c = r, codes[i]
+    if threshold is not None:
+        return None, None, points
+    if extremes:
+        return best, best_c, s, s_c, points
+    return best, best_c, points
+
+
+def _random_small_bases(rng, q, count):
+    """Random (D, m, n) code arrays of linearly independent matrices over
+    GF(q), every other one with a rank-one last matrix, which is the
+    first point of the projective order."""
+    f = GF(q)
+    out = []
+    while len(out) < count:
+        D, m, n = (int(x) for x in rng.integers(1, 4, size=3))
+        basis = rng.integers(0, q, size=(D, m, n))
+        if len(out) % 2:
+            basis[-1] = 0
+            basis[-1, 0, 0] = 1
+        flat = basis.reshape(1, D, m * n)
+        if _exact_ranks_of_codes(f, flat, np.ones((1, 1), int))[0] == D:
+            out.append(basis)
+    return out
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray) or isinstance(g, np.ndarray):
+            assert np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_joined_projective_scans_match_per_piece_reference(monkeypatch, q):
+    # joining pieces into one kernel call changes no answer, witness or
+    # points: first hit in enumeration order, points over whole pieces
+    # (the hit's position over GF(p^2)), at the default budgets, with
+    # small and unbounded tiles, and with every piece joined
+    from translab import modp
+
+    f = GF(q)
+    omega = None if q == f.characteristic else f.omega
+    rng = np.random.default_rng(2000 + q)
+    budgets = [{}, {"_TILE_CELLS": 1}, {"_TILE_CELLS": 40},
+               {"_TILE_CELLS": 1 << 62},
+               {"_TILE_CELLS": 1 << 62, "_JOIN_FLOOR": 1 << 62}]
+    for basis in _random_small_bases(rng, q, 12):
+        D, m, n = basis.shape
+        for chunk in (2, modp.DEFAULT_CHUNK):
+            wants = {t: _projective_reference(f, basis, chunk, threshold=t)
+                     for t in (None, 1, max(1, min(m, n) - 1))}
+            square = m == n
+            if square:
+                ext = _projective_reference(f, basis, chunk, extremes=True)
+            for patch in budgets:
+                for name, value in patch.items():
+                    monkeypatch.setattr(modp, name, value)
+                for t, want in wants.items():
+                    _same(min_rank_scan(basis, q, chunk, threshold=t,
+                                        omega=omega), want)
+                if square:
+                    _same(modp.rank_extremes_scan(basis, q, chunk, omega),
+                          ext)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_joined_surjectivity_scan_matches_per_piece_reference(monkeypatch,
+                                                              q):
+    # the definitional scan over joined pieces returns the first failure
+    # of enumeration order and counts the whole pieces up to it, also when
+    # the first point fails (every A_d kills e_1), whatever the budgets
+    from translab import modp
+
+    rng = np.random.default_rng(3000 + q)
+    budgets = [{}, {"_TILE_CELLS": 1}, {"_TILE_CELLS": 1 << 62},
+               {"_TILE_CELLS": 1 << 62, "_JOIN_FLOOR": 1 << 62}]
+    cases = []
+    for i in range(10):
+        m, n = (int(x) for x in rng.integers(1, 4, size=2))
+        n += 1
+        k = int(rng.integers(1, n))
+        D = int(rng.integers(m * k, m * k + 3))
+        basis = rng.integers(0, q, size=(D, m, n))
+        if i % 3 == 0:
+            basis[:, :, 0] = 0
+        cases.append((basis, k))
+    first = 0
+    for basis, k in cases:
+        for chunk in (2, modp.DEFAULT_CHUNK):
+            ok, X, points, at = _surjectivity_reference(basis, k, q, chunk)
+            piece = next(iter_rref_blocks(basis.shape[2], k, q, chunk))
+            first += at == 0 and points == len(piece)
+            for patch in budgets:
+                for name, value in patch.items():
+                    monkeypatch.setattr(modp, name, value)
+                got = surjectivity_scan(basis, k, q, chunk)
+                monkeypatch.undo()
+                assert got[0] == ok and got[2] == points, (basis.shape, k)
+                if not ok:
+                    assert np.array_equal(got[1], X)
+    assert first
+
+
+def _kernel_calls(monkeypatch):
+    from translab import modp
+
+    calls = []
+    real = modp.batched_rank_mod_p
+
+    def spy(mats, p):
+        calls.append(mats.shape)
+        return real(mats, p)
+
+    monkeypatch.setattr(modp, "batched_rank_mod_p", spy)
+    return calls
+
+
+def test_rref_scan_joins_the_pieces_after_its_largest(monkeypatch):
+    # Gr(1, 5) over GF(7) has pieces of 2401, 343, 49, 7 and 1 points; the
+    # first is ranked alone and the other four join into one kernel call
+    calls = _kernel_calls(monkeypatch)
+    basis = np.random.default_rng(2).integers(0, 7, size=(5, 2, 5))
+    assert surjectivity_scan(basis, 1, 7) == (True, None, 2801)
+    assert [shape[0] for shape in calls] == [2401, 400]
+
+
+def test_first_point_hit_ranks_no_more_than_the_floor(monkeypatch):
+    # the projective order starts with its smallest pieces (1, q, q^2,
+    # ...), and a rank-one first point must stay cheap: the first kernel
+    # call holds the first piece alone, well within _JOIN_FLOOR cells
+    from translab import modp
+
+    calls = _kernel_calls(monkeypatch)
+    for q, m, n, D in [(3, 3, 3, 6), (3, 4, 3, 5), (5, 4, 4, 4), (7, 2, 2, 6)]:
+        basis = np.random.default_rng(q).integers(0, q, size=(D, m, n))
+        basis[-1] = 0
+        basis[-1, 0, 0] = 1
+        for threshold in (None, 1):
+            calls.clear()
+            rank, coeffs, points = min_rank_scan(basis, q, threshold=threshold)
+            assert rank == 1 and points == 1
+            assert coeffs.tolist() == [0] * (D - 1) + [1]
+            assert len(calls) == 1
+            B, R, C = calls[0]
+            assert B == 1 and B * R * C <= modp._JOIN_FLOOR, (q, m, n, D)
