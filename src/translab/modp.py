@@ -63,8 +63,7 @@ is what the enumeration yields at once: the points of one pivot set
 cut into at most chunk points (over GF(p^2), about a chunk of real-form
 entries).  A block is what a scan forms at once: one piece, or
 consecutive whole pieces joined so that one kernel call ranks them all
-(_blocks), or for the separation scan a merge of consecutive pieces of
-flags.  A tile is a stretch of consecutive points of one block whose
+(_blocks).  A tile is a stretch of consecutive points of one block whose
 products hold at most _TILE_CELLS = 2^20 cells (one point at least); a
 tile of the prefix route holds whole runs.  Each tile forms its own
 products, the kernel's working copy and its scratch, so a scan's working
@@ -79,12 +78,17 @@ point, in the projective order) costs what it would with no joining.
 Each later block joins pieces of up to _JOIN_FLOOR product cells, or up
 to the cells already ranked when that is more, at most _TILE_CELLS, so
 the work a hit can leave wasted stays small against what came before
-it.  A piece is built only with its block, never held while the next one
-is built.  The rref order starts with its largest piece, so the rest of
-a mid-size scan joins into one block; the projective order grows q-fold
-per piece, so there the second block is the one that joins.  In the
-definitional scan a joined block holds too few points for the prefix
-route, as each of its pieces would alone.
+it.  The separation scan's first block joins whole pieces up to one tile
+as well: its far-first order starts with small pieces (1, q, q^2, ...
+flags at k = 2) and ends with its largest, a scan that finds no
+violation ranks every flag, and a violation costs far more exact work
+than its tile's ranks, so ranking the first piece alone would only add
+kernel calls.  A piece is built only with its block, never held while
+the next one is built.  The lex rref order starts with its largest
+piece, so the rest of a mid-size scan joins into one block; the
+projective order grows q-fold per piece, so there the second block is
+the one that joins.  In the definitional scan a joined block holds too
+few points for the prefix route, as each of its pieces would alone.
 
 Ranks are independent per point, and tiles run in enumeration order with
 the first tile that settles a scan ending it, so the answer and witness
@@ -404,22 +408,6 @@ def iter_rref_blocks(n: int, k: int, q: int, chunk: int = DEFAULT_CHUNK,
         yield build()
 
 
-def _merge_blocks(blocks: Iterator[np.ndarray],
-                  chunk: int) -> Iterator[np.ndarray]:
-    """Concatenate consecutive blocks, in order, into blocks of at most
-    chunk rows; blocks of up to chunk rows stay whole."""
-    buf: list = []
-    size = 0
-    for block in blocks:
-        if buf and size + len(block) > chunk:
-            yield np.concatenate(buf)
-            buf, size = [], 0
-        buf.append(block)
-        size += len(block)
-    if buf:
-        yield np.concatenate(buf)
-
-
 # the scans rank each logical block in tiles of at most this many product
 # cells, so that a tile's products, the kernel's working copy and its
 # scratch stay near a core's L2 cache (see the module docstring)
@@ -435,28 +423,27 @@ def _tiles(B: int, cells: int) -> list:
     return [(i * B // count, (i + 1) * B // count) for i in range(count)]
 
 
-def _blocks(pieces: Iterator[tuple], cells: int,
-            most: int | None = None) -> Iterator[tuple]:
+def _blocks(pieces: Iterator[tuple], cells: int, most: int | None = None,
+            first: int = 0) -> Iterator[tuple]:
     """Consecutive pieces of an enumeration joined into blocks, in order.
 
     pieces yields (size, build) pairs as _projective_pieces does, and each
-    point costs `cells` product cells.  The first block is the first
-    piece.  Each later block is one piece, or the longest run of whole
-    pieces whose cells fit in min(_TILE_CELLS, max(_JOIN_FLOOR, cells of
-    the points before it)), so that it is one tile, and whose points
-    number at most `most` when given.  Yields (block, ends), ends[j] being
-    the enumeration position just past the block's j-th piece.  Pieces
-    are built with their block, so a piece alone in its block is yielded
-    before the next is built.
+    point costs `cells` product cells.  Each block is one piece, or the
+    longest run of whole pieces whose cells fit in min(_TILE_CELLS, room),
+    so that it is one tile, and whose points number at most `most` when
+    given.  room is `first` for the first block, so that 0 leaves the
+    first piece alone, and max(_JOIN_FLOOR, cells of the points before it)
+    for each later one.  Yields (block, ends), ends[j] being the enumeration
+    position just past the block's j-th piece.  Pieces are built with
+    their block, so a piece alone in its block is yielded before the next
+    is built.
     """
     pieces = iter(pieces)
     pos = 0
+    room = first
     nxt = next(pieces, None)
     while nxt is not None:
-        cap = 0
-        if pos:
-            cells_cap = min(_TILE_CELLS, max(_JOIN_FLOOR, pos * cells))
-            cap = cells_cap // max(cells, 1)
+        cap = min(_TILE_CELLS, room) // max(cells, 1)
         if most is not None:
             cap = min(cap, most)
         ends = [pos + nxt[0]]
@@ -467,6 +454,7 @@ def _blocks(pieces: Iterator[tuple], cells: int,
             builds.append(nxt[1])
             nxt = next(pieces, None)
         pos = ends[-1]
+        room = max(_JOIN_FLOOR, pos * cells)
         if len(builds) == 1:
             yield builds[0](), ends
         else:
@@ -861,8 +849,9 @@ def separation_scan(basis: np.ndarray, k: int,
     columns; the rows without a pivot then hold c^T [A_d e_t] for a basis
     of that left kernel, which are the entries of the A_c, and the pivot
     rows hold zero.  A second kernel call ranks them as a (D m) x n
-    matrix.  Nothing depends on the pivot set of V', so blocks of flags run
-    across pivot sets, and each costs one product and two kernel calls.
+    matrix.  Nothing depends on the pivot set of V', so blocks join whole
+    pieces of flags across pivot sets, the first block too (see _blocks),
+    and each tile costs one product and two kernel calls.
 
     Returns the (k-1, n) representative of the first violating V' in
     enumeration order, or None when L is k-separating over GF(q).
@@ -873,11 +862,10 @@ def separation_scan(basis: np.ndarray, k: int,
     W = _basis_rows(basis, q)
     # unit[t*m + i, d, 0] = (A_d e_t)_i
     unit = W.reshape(m, D, n).transpose(2, 0, 1).reshape(n * m, D, 1)
-    # about DEFAULT_CHUNK * 128 cells of [A_d X | A_d e_t] per elimination
+    # cells of [A_d X | A_d e_t] per flag
     width = (lead + n * m) * max(D, 1)
-    chunk = max(1, DEFAULT_CHUNK * 128 // width)
-    for block in _merge_blocks(
-            iter_rref_blocks(n, j, q, chunk, order="far-first"), chunk):
+    pieces = _rref_pieces(n, j, q, DEFAULT_CHUNK, "far-first")
+    for block, _ in _blocks(pieces, width, first=_TILE_CELLS):
         for lo, hi in _tiles(len(block), width):
             # the products [A_d X | A_d e_t], read by the first kernel call
             # only: M[c, d, b] is row d, column c of representative b's

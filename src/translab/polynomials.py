@@ -239,9 +239,10 @@ def field_roots(p: Sequence, field: Field) -> list:
 
     Linear and quadratic polynomials are solved exactly; for higher degree
     over Q the rational root test is used (which finds every root in Q).
-    Over Qi, higher-degree polynomials are reduced by the roots found on
-    their Q-restriction when all coefficients are real; otherwise only
-    degree <= 2 is supported.
+    Over Qi past degree 2, a polynomial with real coefficients gets its
+    rational roots only, and one with a non-real coefficient gets no roots
+    at all; the pencil route then reports unknown unless another root
+    gives it a witness.
     """
     p = poly_trim(p)
     if len(p) <= 1:

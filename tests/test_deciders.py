@@ -1200,3 +1200,33 @@ def test_pencil_minors_at_n7_within_time_bound():
     res = pencil_min_rank_exact(V, 3)
     assert time.perf_counter() - t0 < 1.0
     assert not res.low_rank_exists and res.gcd_certificate is not None
+
+
+def test_separation_scan_joins_its_first_block_up_to_a_tile(monkeypatch):
+    # Mat(4, 4) over GF(3) at k = 2 has 40 flags, in pieces of 1, 3, 9 and
+    # 27 flags; at 280 product cells a flag they fit one tile, so a scan
+    # that finds no violation forms one block: one product, then one rank
+    # of the stacked A_c.  Ranking the first piece alone would add blocks
+    calls = []
+    for name in ("_input_products", "batched_rank_mod_p"):
+        def spy(*args, _real=getattr(modp, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(modp, name, spy)
+    f = GF(3)
+    L = random_subspace(random.Random(0), f, 14, 4, 4, 1)
+    assert _separation_scan_ff(L, 2) is None
+    assert calls == ["_input_products", "batched_rank_mod_p"]
+    # cut into tiles of one or a few flags, or in one tile, a scan with
+    # several violations, the first at flag 5 (k = 2) or 18 (k = 3),
+    # still returns the first one
+    default = modp._TILE_CELLS
+    for seed, dim, k in [(3, 5, 2), (2, 9, 3)]:
+        L = random_subspace(random.Random(seed), f, dim, 4, 4, 1)
+        ref = _separation_scan_reference(L, k)
+        assert ref is not None
+        for cells in (1, 500, default):
+            monkeypatch.setattr(modp, "_TILE_CELLS", cells)
+            calls.clear()
+            assert _separation_scan_ff(L, k) == ref, (k, cells)
+            assert len(calls) > 2 or cells == default
