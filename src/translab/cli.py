@@ -163,24 +163,12 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Entry point used by the console script; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _dispatch(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as exc:
+        return _dispatch(_build_parser().parse_args(argv))
+    except BudgetExceeded as exc:  # a TranslabError with its own exit code
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (TranslabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, TranslabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -218,15 +206,11 @@ def _dispatch(args) -> int:
         space = _load_space(args.input)
         _emit(subspace_to_obj(space.preannihilator()), args.output)
         return 0
-    if cmd == "tensor":
+    if cmd in ("tensor", "prod"):
         A = _load_space(args.input1)
         B = _load_space(args.input2)
-        _emit(subspace_to_obj(A.tensor(B)), args.output)
-        return 0
-    if cmd == "prod":
-        A = _load_space(args.input1)
-        B = _load_space(args.input2)
-        _emit(subspace_to_obj(A.product_span(B)), args.output)
+        _emit(subspace_to_obj(A.tensor(B) if cmd == "tensor"
+                              else A.product_span(B)), args.output)
         return 0
     if cmd == "power-index":
         space = _load_space(args.input)

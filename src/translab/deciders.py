@@ -60,7 +60,7 @@ from .fields import (
     is_prime,
 )
 from .lowrank import search_low_rank_element
-from .matrices import Mat
+from .matrices import Mat, _matvec
 from . import modp
 from .polynomials import BinaryForm, poly_add, poly_mul, poly_neg
 from .subspace import MatrixSubspace
@@ -212,6 +212,14 @@ def _require(cond: bool, what: str) -> None:
         raise VerificationFailed(f"{what} failed exact re-verification")
 
 
+def _witness(coeffs, T: Mat, k: int, space: MatrixSubspace) -> RankWitness:
+    """RankWitness(coeffs, T, k), once RankWitness.verify accepts it as an
+    element of space; every rank witness is built here."""
+    w = RankWitness(tuple(coeffs), T, k)
+    _require(w.verify(space), "rank witness")
+    return w
+
+
 def _check_primes(primes: Sequence[int]) -> None:
     """Raise ValueError unless every certification prime is a prime."""
     bad = [p for p in primes if not is_prime(p)]
@@ -267,7 +275,8 @@ def _lift_to_qi(L: MatrixSubspace) -> MatrixSubspace:
 def _projective_tuples_generic(field: Field, d: int):
     """Projective coefficient tuples over any finite field, ascending lex
     order of the raw tuple with first nonzero coordinate equal to one.
-    Mirrors modp.iter_projective_blocks for prime fields."""
+    Mirrors modp.iter_projective_blocks for prime fields; the reference
+    order of _choose_final_vector's closed form."""
     elems = field.elements()
     one = field.one()
     zero = field.zero()
@@ -299,9 +308,7 @@ def min_rank_ff_exhaustive(V: MatrixSubspace,
     basis, omega = _scan_codes(V)
     best, codes, _pts = modp.min_rank_scan(basis, q, omega=omega)
     coeffs = _from_codes(f, codes)
-    witness = RankWitness(tuple(coeffs), V.element(coeffs), best)
-    _require(witness.verify(V), "rank witness")
-    return best, witness
+    return best, _witness(coeffs, V.element(coeffs), best, V)
 
 
 def _ff_low_rank_threshold(V: MatrixSubspace, k: int, budget: int):
@@ -405,47 +412,34 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
         raise DimensionTooLarge(f"pencil procedure needs dim <= 2, got {V.dim}")
     if V.dim == 0:
         return PencilResult(False, None, None, None)
+    B0 = V.basis[0]
+    first = (f.one(),) + (f.zero(),) * (V.dim - 1)
     if k >= min(V.rows, V.cols):
-        B0 = V.basis[0]
-        w = RankWitness((f.one(),) + (f.zero(),) * (V.dim - 1), B0, k)
-        return PencilResult(True, w, f.tag, None)
+        return PencilResult(True, _witness(first, B0, k, V), f.tag, None)
     if V.dim == 1:
-        B0 = V.basis[0]
         if B0.rank() <= k:
-            w = RankWitness((f.one(),), B0, k)
-            _require(w.verify(V), "rank witness")
-            return PencilResult(True, w, f.tag, None)
+            return PencilResult(True, _witness(first, B0, k, V), f.tag, None)
         return PencilResult(False, None, None, None)
 
-    B0, B1 = V.basis
-    forms = _minor_forms(B0, B1, k + 1)
-    gcd = BinaryForm.gcd(forms)
+    gcd = BinaryForm.gcd(_minor_forms(B0, V.basis[1], k + 1))
     if gcd is None:
         # every (k+1)-minor vanishes identically: all elements have rank <= k
-        w = RankWitness((f.one(), f.zero()), B0, k)
-        _require(w.verify(V), "rank witness")
-        return PencilResult(True, w, f.tag, None)
+        return PencilResult(True, _witness(first, B0, k, V), f.tag, None)
     cert = (tuple(gcd.poly), gcd.inf_mult)
     if not gcd.has_projective_root():
         return PencilResult(False, None, None, cert)
-    for (c0, c1) in gcd.roots_in_field(f):
-        T = B0.scale(c0) + B1.scale(c1)
-        if not T.is_zero() and T.rank() <= k:
-            w = RankWitness((c0, c1), T, k)
-            _require(w.verify(V), "rank witness")
-            return PencilResult(True, w, f.tag, cert)
-    if f == QQ:
-        # try Gaussian roots of the Q pencil; a Q(i) witness still disproves
-        # transitivity over every extension of Q(i), in particular over C
-        gform = BinaryForm.from_poly(
+    # a Q pencil without a rational witness tries its Gaussian roots; a Q(i)
+    # witness still disproves transitivity over every extension of Q(i), in
+    # particular over C
+    for g in (f, QI) if f == QQ else (f,):
+        W = V if g == f else _lift_to_qi(V)
+        form = gcd if g == f else BinaryForm.from_poly(
             tuple(GaussianRational(c, 0) for c in gcd.poly), gcd.inf_mult)
-        Vq = _lift_to_qi(V)
-        for (c0, c1) in gform.roots_in_field(QI):
-            T = Vq.basis[0].scale(c0) + Vq.basis[1].scale(c1)
+        for (c0, c1) in form.roots_in_field(g):
+            T = W.basis[0].scale(c0) + W.basis[1].scale(c1)
             if not T.is_zero() and T.rank() <= k:
-                w = RankWitness((c0, c1), T, k)
-                _require(w.verify(Vq), "rank witness")
-                return PencilResult(True, w, QI.tag, cert)
+                return PencilResult(True, _witness((c0, c1), T, k, W), g.tag,
+                                    cert)
     return PencilResult(True, None, None, cert)
 
 
@@ -504,9 +498,7 @@ def rank_witness_search_numeric(V: MatrixSubspace, k: int, *, seed: int = 0,
     if hit is None:
         return None
     coeffs, T = hit
-    w = RankWitness(tuple(coeffs), T, k)
-    _require(w.verify(V), "rank witness")
-    return w
+    return _witness(coeffs, T, k, V)
 
 
 # ------------------------------------------------------- main transitivity
@@ -647,8 +639,7 @@ def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
 def _disproved(k, coeffs, T, Lp, ev) -> TransitivityVerdict:
     """The disproved verdict for T, a rank <= k element of Lp with the
     given coordinates, once an independent exact check confirms it."""
-    w = RankWitness(tuple(coeffs), T, k)
-    _require(w.verify(Lp), "rank witness")
+    w = _witness(coeffs, T, k, Lp)
     ev["witness_field"] = Lp.field.tag
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
 
@@ -847,8 +838,7 @@ def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
     Lp = L.preannihilator()
     coeffs = Lp.coordinates_of(T)
     _require(coeffs is not None, "pre-annihilator membership")
-    w = RankWitness(coeffs, T, k)
-    _require(w.verify(Lp), "rank witness")
+    w = _witness(coeffs, T, k, Lp)
     ev = {"strategy": "supplied-witness", "witness_field": T.field.tag,
           "steps": ["witness verified by exact elimination"]}
     return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
@@ -903,8 +893,10 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
     subspace V' the common kernel of W = {A in L : A V' = 0} stays inside
     V'; the finite-field scan enumerates canonical representatives of the
     V' (pivot sets with the farthest coordinate first, free entries
-    ascending) and reports the first violating flag, preferring standard
-    basis vectors for the final column of the witness.
+    ascending) and reports the first violating flag.  Its final column is
+    the first standard basis vector in the common kernel outside V', or
+    failing that the last vector of the common kernel's basis outside V'
+    (the first such combination of that basis in projective order).
 
     Over Q / Q(i), "ff" certifies over the requested primes and lifts any
     violating flag to an exactly verified rational disproof; "sample" does
@@ -919,13 +911,17 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
     ev: dict = {"strategy": strategy, "seed": seed, "budget": budget,
                 "steps": []}
 
-    if L.field.is_finite:
-        q = L.field.size
+    def flags(q, over=""):
+        # the flags to scan over GF(q), raising BudgetExceeded past budget
         pts = modp.gaussian_binomial(n, k - 1, q)
         if pts > budget:
-            raise BudgetExceeded(f"{pts} flags exceed the budget")
+            raise BudgetExceeded(f"{pts} flags{over} exceed the budget")
+        return pts
+
+    if L.field.is_finite:
+        q = L.field.size
+        ev["points"] = flags(q)
         bad = _separation_scan_ff(L, k)
-        ev["points"] = pts
         if bad is None:
             return SeparationVerdict(
                 Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
@@ -944,17 +940,12 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         ev["steps"].append("no counterexample found by sampling")
         return SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
 
-    for_budget = modp.gaussian_binomial(n, k - 1, max(primes, default=5))
-    if for_budget > budget:
-        raise BudgetExceeded(f"{for_budget} flags exceed the budget")
+    flags(max(primes, default=5))
 
     def at_prime(p, reductions, info):
         # the flag scan over GF(p); a violating flag found there ends
         # certification once its plain lift verifies over L's field
-        info["points"] = modp.gaussian_binomial(n, k - 1, p)
-        if info["points"] > budget:
-            raise BudgetExceeded(
-                f"{info['points']} flags over GF({p}) exceed the budget")
+        info["points"] = flags(p, f" over GF({p})")
         bad = _separation_scan_ff(reductions[0], k)
         if bad is None:
             return True
@@ -1016,13 +1007,10 @@ def _flag_violation(L: MatrixSubspace, Vrows) -> tuple:
     f = L.field
     m, n = L.rows, L.cols
     W_basis = _killing_elements(L, Vrows)
-    if not W_basis:
-        ck = [tuple(f.one() if i == t else f.zero() for i in range(n))
-              for t in range(n)]
-    else:
-        stacked = Mat(f, len(W_basis) * m, n,
-                      [x for B in W_basis for x in B.entries()])
-        ck = stacked.kernel()
+    # with W = 0 the stack has no rows and its kernel is the unit vectors
+    stacked = Mat(f, len(W_basis) * m, n,
+                  [x for B in W_basis for x in B.entries()])
+    ck = stacked.kernel()
     return ck, _in_span(f, n, Vrows, ck)
 
 
@@ -1035,21 +1023,18 @@ def _in_span(f, n: int, rows, vecs) -> bool:
 
 
 def _choose_final_vector(f, n, ck, Vrows):
-    """Standard basis vector in common_kernel minus span(Vrows) if any,
-    else the first projective combination of the kernel basis outside."""
+    """The first standard basis vector in span(ck) outside span(Vrows), or
+    failing that the last vector of ck outside it: the first combination of
+    ck outside span(Vrows) in _projective_tuples_generic's order, since one
+    led by ck[i] lies inside whenever ck[i] and every later ck[j] do."""
     for t in range(n):
         e = tuple(f.one() if i == t else f.zero() for i in range(n))
         if _in_span(f, n, ck, [e]) and not _in_span(f, n, Vrows, [e]):
             return e
-    for coeffs in _projective_tuples_generic(f, len(ck)):
-        vec = [f.zero()] * n
-        for c, kv in zip(coeffs, ck):
-            if c:
-                for i in range(n):
-                    vec[i] = vec[i] + c * kv[i]
-        if any(vec) and not _in_span(f, n, Vrows, [vec]):
-            return tuple(vec)
-    raise AssertionError("violating flag without a final vector")
+    for v in reversed(ck):
+        if not _in_span(f, n, Vrows, [v]):
+            return v
+    _require(False, "violating flag (final column)")
 
 
 def _verify_separation_violation(L: MatrixSubspace, X: Mat) -> bool:
@@ -1058,16 +1043,9 @@ def _verify_separation_violation(L: MatrixSubspace, X: Mat) -> bool:
     n, k = X.shape
     if X.rank() != k:
         return False
-    f = L.field
-    Vrows = [tuple(X[i, j] for i in range(n)) for j in range(k - 1)]
-    m = L.rows
-    xk = [X[i, k - 1] for i in range(n)]
-    for B in _killing_elements(L, Vrows):
-        out = [sum((B[i, j] * xk[j] for j in range(n) if xk[j] and B[i, j]),
-                   f.zero()) for i in range(m)]
-        if any(out):
-            return False
-    return True
+    Vrows = [X.column(j) for j in range(k - 1)]
+    return not any(any(_matvec(B, X.column(k - 1)))
+                   for B in _killing_elements(L, Vrows))
 
 
 # --------------------------------------------------------------- utilities

@@ -383,23 +383,18 @@ def random_subspace(rng, field, d, m, n, bound) -> MatrixSubspace:
     """A d-dimensional subspace of Mat(m, n) spanned by matrices with
     entries drawn by rng.randint(-bound, bound), redrawn until the
     generators are independent."""
-    while True:
-        gens = [Mat(field, m, n,
-                    [field.from_int(rng.randint(-bound, bound))
-                     for _ in range(m * n)])
-                for _ in range(d)]
-        L = MatrixSubspace.from_generators(gens, rows=m, cols=n, field=field)
-        if L.dim == d:
-            return L
+    return _random_subspace_of(rng, MatrixSubspace.full_space(field, m, n),
+                               d, bound)
 
 
-def _random_subspace_of(rng, N: MatrixSubspace, d: int) -> MatrixSubspace:
+def _random_subspace_of(rng, N: MatrixSubspace, d: int,
+                        bound: int = 3) -> MatrixSubspace:
+    """A d-dimensional subspace of N spanned by combinations of N's basis
+    with coefficients drawn by rng.randint(-bound, bound), redrawn until
+    they are independent."""
     while True:
-        gens = []
-        for _ in range(d):
-            coeffs = [N.field.from_int(rng.randint(-3, 3))
-                      for _ in range(N.dim)]
-            gens.append(N.element(coeffs))
+        gens = [N.element([N.field.from_int(rng.randint(-bound, bound))
+                           for _ in range(N.dim)]) for _ in range(d)]
         V = MatrixSubspace.from_generators(gens, rows=N.rows, cols=N.cols,
                                            field=N.field)
         if V.dim == d:

@@ -39,19 +39,15 @@ def rationalize(x: float, max_denominator: int) -> Fraction:
 
 
 def _basis_to_floats(space: MatrixSubspace) -> np.ndarray:
-    D = space.dim
-    m, n = space.rows, space.cols
-    if space.field == QQ:
-        out = np.zeros((D, m * n), dtype=np.float64)
-        for d, B in enumerate(space.basis):
-            out[d] = [float(x) for x in B.entries()]
-        return out
-    if space.field == QI:
-        out = np.zeros((D, m * n), dtype=np.complex128)
-        for d, B in enumerate(space.basis):
-            out[d] = [complex(float(x.re), float(x.im)) for x in B.entries()]
-        return out
-    raise ValueError("numeric search runs over Q or Qi only")
+    if space.field not in (QQ, QI):
+        raise ValueError("numeric search runs over Q or Qi only")
+    qi = space.field == QI
+    out = np.zeros((space.dim, space.rows * space.cols),
+                   dtype=np.complex128 if qi else np.float64)
+    for d, B in enumerate(space.basis):
+        out[d] = [complex(float(x.re), float(x.im)) if qi else float(x)
+                  for x in B.entries()]
+    return out
 
 
 def _float_setup(space: MatrixSubspace) -> tuple:

@@ -296,39 +296,26 @@ class Mat:
         return tuple(x)
 
     def det(self) -> Scalar:
-        """Determinant by exact fraction elimination with partial pivoting."""
+        """Determinant by the forward pass of exact elimination on the
+        shared pivot rule: the product of the pivots, negated once per row
+        swap, or zero when some column has no pivot."""
         if not self.is_square():
             raise ShapeMismatch("det needs a square matrix")
         n = self.rows
-        rows = [list(self.row(i)) for i in range(n)]
+        rows = self.tolists()
         one = self.field.one()
-        det = one
-        sign = 1
-        for c in range(n):
-            piv = None
-            for r in range(c, n):
-                if rows[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return self.field.zero()
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                sign = -sign
-            p = rows[c][c]
-            det = det * p
-            pinv = one / p
-            for r in range(c + 1, n):
-                f = rows[r][c]
-                if not f:
-                    continue
-                f = f * pinv
-                prow = rows[c]
-                rrow = rows[r]
-                for j in range(c, n):
-                    if prow[j]:
-                        rrow[j] = rrow[j] - f * prow[j]
-        return det if sign == 1 else -det
+        det, pivots = one, 0
+        for r, c, swapped in _pivot_steps(rows, n):
+            prow = rows[r]
+            det = -det * prow[c] if swapped else det * prow[c]
+            pinv = one / prow[c]
+            for irow in rows[r + 1:]:
+                f = irow[c] * pinv
+                if f:
+                    irow[c:] = [a - f * b if b else a
+                                for a, b in zip(irow[c:], prow[c:])]
+            pivots += 1
+        return det if pivots == n else self.field.zero()
 
     def is_invertible(self) -> bool:
         return self.is_square() and bool(self.det())
@@ -364,10 +351,11 @@ def _matvec(A: Mat, x: Sequence[Scalar]) -> list:
 
 
 def _pivot_steps(rows: list, ncols: int):
-    """Yield (r, c) for each pivot of an elimination over ``rows``: c is
-    the leftmost column with a nonzero entry at or below row r, and the
-    first such row has just been swapped into row r.  The caller clears
-    column c from the other rows before asking for the next pivot."""
+    """Yield (r, c, swapped) for each pivot of an elimination over
+    ``rows``: c is the leftmost column with a nonzero entry at or below row
+    r, and the first such row has just been swapped into row r (swapped
+    says whether it came from below).  The caller clears column c from the
+    other rows before asking for the next pivot."""
     r = 0
     for c in range(ncols):
         if r >= len(rows):
@@ -375,7 +363,7 @@ def _pivot_steps(rows: list, ncols: int):
         for i in range(r, len(rows)):
             if rows[i][c]:
                 rows[r], rows[i] = rows[i], rows[r]
-                yield r, c
+                yield r, c, i != r
                 r += 1
                 break
 
@@ -395,7 +383,7 @@ def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
     ncols = len(rows[0])
     one = field.one()
     pivots = []
-    for r, c in _pivot_steps(rows, ncols):
+    for r, c, _ in _pivot_steps(rows, ncols):
         prow = rows[r]
         p = prow[c]
         if p != one:
@@ -426,7 +414,7 @@ def _eliminate_q(rows: list, full: bool = True) -> tuple[list, list]:
         ints.append([x.numerator * (den // x.denominator) for x in row]
                     if den != 1 else [x.numerator for x in row])
     pivots = []
-    for r, c in _pivot_steps(ints, len(ints[0])):
+    for r, c, _ in _pivot_steps(ints, len(ints[0])):
         prow = ints[r]
         p = prow[c]
         for i in range(0 if full else r + 1, len(ints)):

@@ -218,7 +218,11 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
                 for cand in (Fraction(r, s), Fraction(-r, s)):
                     if poly_eval(p, cand) == 0:
                         roots.add(cand)
-    return sorted(roots, key=lambda t: (t <= 0, abs(t), t.denominator))
+    return sorted(roots, key=_rational_key)
+
+
+def _rational_key(t: Fraction):
+    return (t <= 0, abs(t), t.denominator)
 
 
 def _divisors(n: int) -> list[int]:
@@ -251,24 +255,15 @@ def field_roots(p: Sequence, field: Field) -> list:
     if deg == 1:
         return [-p[0] / p[1]]
     if deg == 2:
-        a, b, c = p[2], p[1], p[0]
-        disc = b * b - 4 * a * c
-        if field == QQ:
-            r = sqrt_exact(disc if isinstance(disc, Fraction) else disc)
-            if r is None:
-                return []
-            cands = {(-b + r) / (2 * a), (-b - r) / (2 * a)}
-            return sorted(cands, key=lambda t: (t <= 0, abs(t), t.denominator))
-        if field == QI:
-            dd = disc if isinstance(disc, GaussianRational) else GaussianRational(disc, 0)
-            r = sqrt_exact(dd)
-            if r is None:
-                return []
-            aa = a if isinstance(a, GaussianRational) else GaussianRational(a, 0)
-            bb = b if isinstance(b, GaussianRational) else GaussianRational(b, 0)
-            cands = {(-bb + r) / (2 * aa), (-bb - r) / (2 * aa)}
-            return sorted(cands, key=_gauss_key)
-        raise TypeError(f"field_roots does not handle {field.tag}")
+        if field not in (QQ, QI):
+            raise TypeError(f"field_roots does not handle {field.tag}")
+        a, b, c = (x if field == QQ or isinstance(x, GaussianRational)
+                   else GaussianRational(x, 0) for x in p[::-1])
+        r = sqrt_exact(b * b - 4 * a * c)
+        if r is None:
+            return []
+        return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)},
+                      key=_rational_key if field == QQ else _gauss_key)
     if field == QQ:
         return rational_roots(p)
     if field == QI and all(
@@ -281,11 +276,15 @@ def field_roots(p: Sequence, field: Field) -> list:
 
 
 def _gauss_key(z: GaussianRational):
+    # (re, im) last: distinct roots never tie, so their order does not
+    # depend on set iteration, which follows the hash seed of "i"
     return (
         z.re <= 0,
         z.norm(),
         z.re.denominator + z.im.denominator,
         (z.re, z.im) <= (0, 0),
+        z.re,
+        z.im,
     )
 
 

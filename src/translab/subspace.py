@@ -406,27 +406,19 @@ class MatrixSubspace:
         containing this one; square ambient only."""
         if self.rows != self.cols:
             raise ShapeMismatch("bimodule closure needs a square ambient")
-        support = sorted({
-            (i, j)
-            for B in self.basis
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if B[i, j]
-        })
         gens = [Mat.unit(self.field, self.rows, self.cols, i, j)
-                for (i, j) in support]
+                for (i, j) in sorted(self._support())]
         return MatrixSubspace.from_generators(
             gens, rows=self.rows, cols=self.cols, field=self.field)
 
+    def _support(self) -> frozenset:
+        """The positions (i, j) where some basis matrix is nonzero."""
+        return frozenset(divmod(t, self.cols) for B in self.basis
+                         for t, x in enumerate(B.entries()) if x)
+
     def pattern(self) -> Optional[frozenset]:
         """The index set when this is a pattern space, else None."""
-        support = frozenset(
-            (i, j)
-            for B in self.basis
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if B[i, j]
-        )
+        support = self._support()
         return support if len(support) == self.dim else None
 
     def diagonal_expectation(self) -> "MatrixSubspace":

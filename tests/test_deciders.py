@@ -1230,3 +1230,57 @@ def test_separation_scan_joins_its_first_block_up_to_a_tile(monkeypatch):
             calls.clear()
             assert _separation_scan_ff(L, k) == ref, (k, cells)
             assert len(calls) > 2 or cells == default
+
+
+def _old_final_vector(f, n, ck, Vrows):
+    """The enumeration the final column's closed form replaced: the first
+    standard basis vector in span(ck) outside span(Vrows), else the first
+    combination of ck outside it in projective order; and whether the
+    result is a standard basis vector."""
+    from translab.deciders import _in_span
+    for t in range(n):
+        e = tuple(f.one() if i == t else f.zero() for i in range(n))
+        if _in_span(f, n, ck, [e]) and not _in_span(f, n, Vrows, [e]):
+            return e, True
+    for coeffs in _projective_tuples_generic(f, len(ck)):
+        vec = tuple(sum((c * v[i] for c, v in zip(coeffs, ck)), f.zero())
+                    for i in range(n))
+        if any(vec) and not _in_span(f, n, Vrows, [vec]):
+            return vec, False
+    raise AssertionError("violating flag without a final vector")
+
+
+def test_final_column_closed_form_matches_the_projective_enumeration():
+    # every violating flag of a random space up to Mat(4, 4) over GF(2),
+    # GF(3) or GF(5) at one random k; 40 seeds give 2,848 flags, 33 of
+    # them with a final column that is no standard basis vector
+    flags, non_unit = 0, 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        f = GF(rng.choice([2, 3, 5]))
+        m, n = rng.randint(1, 4), rng.randint(2, 4)
+        L = random_subspace(rng, f, rng.randint(1, m * n - 1), m, n, f.size)
+        k = rng.randint(2, n)
+        for block in modp.iter_rref_blocks(n, k - 1, f.size,
+                                           order="far-first"):
+            for rep in block:
+                Vrows = [tuple(f.from_int(int(v)) for v in row)
+                         for row in rep]
+                ck, inside = _flag_violation(L, Vrows)
+                if inside:
+                    continue
+                want, unit = _old_final_vector(f, n, ck, Vrows)
+                assert _choose_final_vector(f, n, ck, Vrows) == want
+                flags += 1
+                non_unit += not unit
+    assert 0 < non_unit < flags
+
+
+def test_final_column_fall_through_raises_verification_failed():
+    # a common kernel inside span(Vrows) is no violation; the closed form
+    # refuses it through _require, also under python -O
+    from translab.errors import VerificationFailed
+    f = GF(3)
+    e0 = (f.one(), f.zero())
+    with pytest.raises(VerificationFailed, match="final column"):
+        _choose_final_vector(f, 2, [e0], [e0])

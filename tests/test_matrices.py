@@ -347,3 +347,44 @@ def test_kernel_and_rank_over_q_match_fraction_loop(rows, n_if_empty):
     assert all(type(x) is Fraction for v in kern for x in v)
     assert A.rank() == len(fraction_rref_rows([list(r) for r in rows])[1])
     assert A.rank() + len(kern) == ncols
+
+
+def _entry(rng, field):
+    """A random element: any element of a finite field, a small integer
+    over Q, a small Gaussian integer over Q(i)."""
+    if field.is_finite:
+        return rng.choice(field.elements())
+    x = field.from_int(rng.randint(-4, 4))
+    return x + GaussianRational(0, rng.randint(-4, 4)) if field == QI else x
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(7), GF(9)],
+                         ids=["Q", "Qi", "GF7", "GF9"])
+def test_det_matches_leibniz_with_row_swaps_and_when_singular(field):
+    rng = random.Random(23)
+    n = 4
+    zero = field.zero()
+    for _ in range(12):
+        # rows of an upper triangular U with a nonzero diagonal, permuted so
+        # that row 0 does not hold U's row 0: column 0 then has its only
+        # nonzero entry below row 0, and the elimination must swap
+        U = [[_entry(rng, field) if j > i else zero for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            while not U[i][i]:
+                U[i][i] = _entry(rng, field)
+        perm = list(range(n))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        A = Mat(field, n, n, [x for i in perm for x in U[i]])
+        assert A.det() == brute_force_det(A) != zero
+        # singular: the last row a combination of the first two, or a
+        # zero column in the middle, so a column has no pivot
+        c = _entry(rng, field)
+        rows = [list(A.row(i)) for i in range(n - 1)]
+        rows.append([a + c * b for a, b in zip(rows[0], rows[1])])
+        S = Mat(field, n, n, [x for r in rows for x in r])
+        Z = Mat(field, n, n, [zero if j == 1 else A[i, j]
+                              for i in range(n) for j in range(n)])
+        for M in (S, Z):
+            assert M.det() == brute_force_det(M) == zero

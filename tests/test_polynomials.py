@@ -146,3 +146,14 @@ def test_exact_square_roots_of_large_integers():
     a = 10**30 + 7
     assert _isqrt_exact(a * a) == a
     assert set(field_roots(poly_mul(p(-a, 1), p(-1, 1)), QQ)) == {F(a), F(1)}
+
+
+def test_gaussian_quadratic_roots_order_does_not_depend_on_the_hash_seed():
+    # 3+i and 1-3i agree in sign, norm and denominators; the order of the
+    # roots of (x - (3+i)) (x - (1-3i)) = x^2 - (4-2i) x + (6-8i) is fixed
+    # by (re, im), not by the iteration order of a set of them
+    from translab.polynomials import _gauss_key
+    r1, r2 = GaussianRational(1, -3), GaussianRational(3, 1)
+    assert _gauss_key(r1) < _gauss_key(r2)
+    p = [GaussianRational(6, -8), GaussianRational(-4, 2), GaussianRational(1)]
+    assert field_roots(p, QI) == [r1, r2]

@@ -4,8 +4,9 @@ to report what their re-verifier rejects."""
 import pytest
 
 from translab import deciders
-from translab.deciders import (RankWitness, Status, check_k_separating,
-                               check_k_transitive,
+from translab.deciders import (PencilResult, RankWitness, Status,
+                               check_k_separating, check_k_transitive,
+                               pencil_min_rank_exact,
                                _verify_separation_violation)
 from translab.errors import VerificationFailed
 from translab.families import toeplitz_space
@@ -120,3 +121,93 @@ def test_pencil_without_a_root_in_the_field_is_unknown():
         "gcd_coefficients_low_to_high": ["-1/2", "0", "1"],
         "infinity_multiplicity": 0}
     assert dumps(transitivity_verdict_to_obj(v)) == _PENCIL_UNKNOWN
+
+
+def _first_row_units():
+    """span{E00, E01} in Mat(3, 3) over Q: every element has rank <= 1."""
+    return MatrixSubspace.from_generators(
+        [Mat.unit(QQ, 3, 3, 0, 0), Mat.unit(QQ, 3, 3, 0, 1)])
+
+
+def test_pencil_branches_before_the_minors():
+    S = _first_row_units()
+    # dimension 0: nothing to find
+    assert (pencil_min_rank_exact(MatrixSubspace.zero_space(QQ, 3, 3), 1)
+            == PencilResult(False, None, None, None))
+    # k >= min(m, n): the first basis matrix, with rank bound k
+    assert pencil_min_rank_exact(S, 3) == PencilResult(
+        True, RankWitness((QQ.one(), QQ.zero()), S.basis[0], 3), "Q", None)
+    # dimension 1: the basis matrix when its rank is at most k
+    E = MatrixSubspace.from_generators([Mat.unit(QQ, 3, 3, 0, 0)])
+    assert pencil_min_rank_exact(E, 1) == PencilResult(
+        True, RankWitness((QQ.one(),), E.basis[0], 1), "Q", None)
+    I3 = MatrixSubspace.from_generators([Mat.identity(QQ, 3)])
+    assert (pencil_min_rank_exact(I3, 2)
+            == PencilResult(False, None, None, None))
+
+
+@pytest.mark.parametrize("space,k", [
+    (_first_row_units(), 3),                                   # k >= min
+    (MatrixSubspace.from_generators([Mat.unit(QQ, 3, 3, 0, 0)]), 1),  # dim 1
+    (_first_row_units(), 1),                           # all minors vanish
+], ids=["k-at-least-min", "dim-1", "all-minors-vanish"])
+def test_pencil_witnesses_are_reverified(monkeypatch, space, k):
+    monkeypatch.setattr(RankWitness, "verify", lambda self, space: False)
+    with pytest.raises(VerificationFailed, match="rank witness"):
+        pencil_min_rank_exact(space, k)
+
+
+# every 2-minor of c0 E00 + c1 E01 vanishes identically, so the pencil
+# route reports E00 with no gcd certificate
+_PENCIL_ALL_MINORS_VANISH = """{
+  "evidence": {
+    "budget": 100000000,
+    "dim": 7,
+    "dim_perp": 2,
+    "seed": 0,
+    "steps": [
+      "pencil route (dim <= 2)"
+    ],
+    "strategy": "auto",
+    "witness_field": "Q"
+  },
+  "k": 1,
+  "kind": "transitivity-verdict",
+  "primes": [],
+  "soundness": "exact witness over Q; valid over every extension",
+  "status": "disproved",
+  "witness": {
+    "coefficients": [
+      "1",
+      "0"
+    ],
+    "matrix": {
+      "cols": 3,
+      "entries": [
+        "1",
+        "0",
+        "0",
+        "0",
+        "0",
+        "0",
+        "0",
+        "0",
+        "0"
+      ],
+      "field": "Q",
+      "rows": 3
+    },
+    "rank_bound": 1
+  }
+}
+"""
+
+
+def test_pencil_with_vanishing_minors_disproves_with_the_first_basis_matrix():
+    S = _first_row_units()
+    v = check_k_transitive(S.preannihilator(), 1)
+    assert v.status == Status.DISPROVED
+    assert v.witness.matrix == Mat.unit(QQ, 3, 3, 0, 0)
+    assert v.evidence["steps"] == ["pencil route (dim <= 2)"]
+    assert "pencil_gcd" not in v.evidence
+    assert dumps(transitivity_verdict_to_obj(v)) == _PENCIL_ALL_MINORS_VANISH

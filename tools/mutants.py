@@ -28,6 +28,7 @@ ROOT = os.getcwd()
 REVERIFY = "tests/test_reverifiers.py::"
 DECIDERS = "tests/test_deciders.py::"
 MODP = "tests/test_modp.py::"
+MATRICES = "tests/test_matrices.py::"
 
 # (name, module, line, replacement, tests that must each fail)
 MUTANTS = [
@@ -67,6 +68,19 @@ MUTANTS = [
      [DECIDERS + "test_separation_scan_joins_its_first_block_up_to_a_tile",
       DECIDERS + "test_separation_scan_matches_per_flag_reference_at"
       "_larger_n"]),
+    ("final-column-walks-forward", "deciders.py",
+     "    for v in reversed(ck):", "    for v in ck:",
+     [DECIDERS + "test_final_column_closed_form_matches_the_projective"
+      "_enumeration"]),
+    ("det-ignores-swap-sign", "matrices.py",
+     "            det = -det * prow[c] if swapped else det * prow[c]",
+     "            det = det * prow[c]",
+     [MATRICES + "test_det_matches_leibniz_with_row_swaps_and_when_singular"]),
+    ("witness-constructor-skips-require", "deciders.py",
+     '    _require(w.verify(space), "rank witness")', "    pass",
+     [REVERIFY + "test_pencil_witnesses_are_reverified",
+      REVERIFY + "test_transitivity_disproof_raises_when_its_witness_is"
+      "_rejected"]),
 ]
 
 
