@@ -15,6 +15,18 @@ unary ``-``; zero tests via ``bool(x)``.  Equality is structural after
 normalization (Fraction keeps reduced form with positive denominator, the
 finite fields store values reduced into ``[0, p)``).
 
+Interning: a finite field of at most ``INTERN_MAX`` (4096) elements keeps
+one read-only tuple of its elements, its ``interned`` attribute, indexed
+by residue over GF(p) and by the code a*p + b over GF(p^2) (the order of
+``elements()``).  Constructing the domain builds it; importing builds none.
+``+ - *`` of two elements of such a field, unary ``-``, ``inverse()``,
+``/`` and the domain's constructors (``zero``, ``one``, ``from_int``,
+``from_pair``, ``gen``, ``parse``, ``elements``) return entries of that
+tuple instead of new objects.  Int operands go through the element
+constructor as before, mixed fields still raise ``ValueError``, and larger
+fields build a new element per result.  An interned element equals, and
+hashes like, a freshly constructed one.
+
 String grammar (round trips are bit exact):
 
 * rational:          ``a`` or ``a/b`` with ``b > 0`` (``b`` omitted when 1)
@@ -72,6 +84,12 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+INTERN_MAX = 4096
+# p -> the interned tuple of GF(p) and of GF(p^2), filled by the domains
+_FP_INTERNED: dict = {}
+_FP2_INTERNED: dict = {}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -208,35 +226,53 @@ class FpElement(_Scalar):
             return FpElement(other, self.p)
         return None
 
+    # Each operator first tries the interned tuple of its field, which it
+    # reads only when other is an element of the same field.
     def __add__(self, other):
+        p = self.p
+        if other.__class__ is FpElement and other.p == p:
+            t = _FP_INTERNED.get(p)
+            if t is not None:
+                return t[(self.value + other.value) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value + o.value, self.p)
+        return FpElement(self.value + o.value, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p = self.p
+        if other.__class__ is FpElement and other.p == p:
+            t = _FP_INTERNED.get(p)
+            if t is not None:
+                return t[(self.value - other.value) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value - o.value, self.p)
+        return FpElement(self.value - o.value, p)
 
     def __mul__(self, other):
+        p = self.p
+        if other.__class__ is FpElement and other.p == p:
+            t = _FP_INTERNED.get(p)
+            if t is not None:
+                return t[self.value * other.value % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value * o.value, self.p)
+        return FpElement(self.value * o.value, p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FpElement":
+        p = self.p
         if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
+            raise ZeroDivisionError(f"0 has no inverse mod {p}")
+        return _fp(pow(self.value, p - 2, p), p)
 
     def __neg__(self):
-        return FpElement(-self.value, self.p)
+        return _fp(-self.value, self.p)
 
     def __bool__(self):
         return self.value != 0
@@ -261,6 +297,12 @@ class FpElement(_Scalar):
         return f"{self.value} mod {self.p}"
 
 
+def _fp(v: int, p: int) -> FpElement:
+    """v mod p, interned when GF(p) has its tuple."""
+    t = _FP_INTERNED.get(p)
+    return t[v % p] if t is not None else FpElement(v, p)
+
+
 class Fp2Element(_Scalar):
     """An element a + b*w of GF(p^2) with w*w = omega (a fixed non-residue)."""
 
@@ -281,28 +323,46 @@ class Fp2Element(_Scalar):
             return Fp2Element(other, 0, self.p, self.omega)
         return None
 
+    # As over GF(p), the interned tuple first; its index is a*p + b.
     def __add__(self, other):
+        p = self.p
+        if other.__class__ is Fp2Element and other.p == p:
+            t = _FP2_INTERNED.get(p)
+            if t is not None:
+                return t[(self.a + other.a) % p * p + (self.b + other.b) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Fp2Element(self.a + o.a, self.b + o.b, self.p, self.omega)
+        return Fp2Element(self.a + o.a, self.b + o.b, p, self.omega)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        p = self.p
+        if other.__class__ is Fp2Element and other.p == p:
+            t = _FP2_INTERNED.get(p)
+            if t is not None:
+                return t[(self.a - other.a) % p * p + (self.b - other.b) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Fp2Element(self.a - o.a, self.b - o.b, self.p, self.omega)
+        return Fp2Element(self.a - o.a, self.b - o.b, p, self.omega)
 
     def __mul__(self, other):
+        p = self.p
+        if other.__class__ is Fp2Element and other.p == p:
+            t = _FP2_INTERNED.get(p)
+            if t is not None:
+                a, b, oa, ob = self.a, self.b, other.a, other.b
+                return t[(a * oa + b * ob * self.omega) % p * p
+                         + (a * ob + b * oa) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Fp2Element(
             self.a * o.a + self.b * o.b * self.omega,
             self.a * o.b + self.b * o.a,
-            self.p,
+            p,
             self.omega,
         )
 
@@ -316,10 +376,10 @@ class Fp2Element(_Scalar):
         if n == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({p}^2)")
         ninv = pow(n, p - 2, p)
-        return Fp2Element(self.a * ninv, -self.b * ninv, p, self.omega)
+        return _fp2(self.a * ninv, -self.b * ninv, p, self.omega)
 
     def __neg__(self):
-        return Fp2Element(-self.a, -self.b, self.p, self.omega)
+        return _fp2(-self.a, -self.b, self.p, self.omega)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -343,6 +403,12 @@ class Fp2Element(_Scalar):
 
     def __str__(self):
         return f"{self.a}+{self.b}w mod {self.p}^2"
+
+
+def _fp2(a: int, b: int, p: int, omega: int) -> Fp2Element:
+    """a + b*w in GF(p^2), interned when GF(p^2) has its tuple."""
+    t = _FP2_INTERNED.get(p)
+    return t[a % p * p + b % p] if t is not None else Fp2Element(a, b, p, omega)
 
 
 Scalar = Union[Fraction, GaussianRational, FpElement, Fp2Element]
@@ -479,15 +545,19 @@ class PrimeFieldDomain(Field):
         self.tag = f"GF({p})"
         self.characteristic = p
         self.size = p
+        if p <= INTERN_MAX and p not in _FP_INTERNED:
+            _FP_INTERNED[p] = tuple(FpElement(v, p) for v in range(p))
+        # the elements by residue, () above INTERN_MAX
+        self.interned = _FP_INTERNED.get(p, ())
 
     def zero(self):
-        return FpElement(0, self.p)
+        return _fp(0, self.p)
 
     def one(self):
-        return FpElement(1, self.p)
+        return _fp(1, self.p)
 
     def from_int(self, n):
-        return FpElement(n, self.p)
+        return _fp(n, self.p)
 
     def parse(self, text):
         text = text.strip()
@@ -495,9 +565,9 @@ class PrimeFieldDomain(Field):
         if m:
             if int(m.group("p")) != self.p:
                 raise ValueError(f"modulus mismatch: {text!r} in {self.tag}")
-            return FpElement(int(m.group("v")), self.p)
+            return _fp(int(m.group("v")), self.p)
         if re.match(r"^-?\d+$", text):
-            return FpElement(int(text), self.p)
+            return _fp(int(text), self.p)
         raise ValueError(f"not a {self.tag} literal: {text!r}")
 
     def element_type(self):
@@ -508,7 +578,7 @@ class PrimeFieldDomain(Field):
             raise TypeError(f"{x!r} is not an element of {self.tag}")
 
     def elements(self):
-        return [FpElement(v, self.p) for v in range(self.p)]
+        return list(self.interned or (FpElement(v, self.p) for v in range(self.p)))
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p
@@ -533,21 +603,26 @@ class QuadExtDomain(Field):
         self.tag = f"GF({p}^2)"
         self.characteristic = p
         self.size = p * p
+        if p * p <= INTERN_MAX and p not in _FP2_INTERNED:
+            _FP2_INTERNED[p] = tuple(Fp2Element(a, b, p, self.omega)
+                                     for a in range(p) for b in range(p))
+        # the elements by code a*p + b, () above INTERN_MAX
+        self.interned = _FP2_INTERNED.get(p, ())
 
     def zero(self):
-        return Fp2Element(0, 0, self.p, self.omega)
+        return _fp2(0, 0, self.p, self.omega)
 
     def one(self):
-        return Fp2Element(1, 0, self.p, self.omega)
+        return _fp2(1, 0, self.p, self.omega)
 
     def gen(self):
-        return Fp2Element(0, 1, self.p, self.omega)
+        return _fp2(0, 1, self.p, self.omega)
 
     def from_int(self, n):
-        return Fp2Element(n, 0, self.p, self.omega)
+        return _fp2(n, 0, self.p, self.omega)
 
     def from_pair(self, a: int, b: int):
-        return Fp2Element(a, b, self.p, self.omega)
+        return _fp2(a, b, self.p, self.omega)
 
     def parse(self, text):
         text = text.strip()
@@ -556,7 +631,7 @@ class QuadExtDomain(Field):
             raise ValueError(f"not a {self.tag} literal: {text!r}")
         if int(m.group("p")) != self.p:
             raise ValueError(f"modulus mismatch: {text!r} in {self.tag}")
-        return Fp2Element(int(m.group("a")), int(m.group("b")), self.p, self.omega)
+        return _fp2(int(m.group("a")), int(m.group("b")), self.p, self.omega)
 
     def element_type(self):
         return Fp2Element
@@ -567,22 +642,20 @@ class QuadExtDomain(Field):
 
     def elements(self):
         # ordered by (a, b): a + b*w
-        return [
-            Fp2Element(a, b, self.p, self.omega)
-            for a in range(self.p)
-            for b in range(self.p)
-        ]
+        return list(self.interned or (Fp2Element(a, b, self.p, self.omega)
+                                      for a in range(self.p)
+                                      for b in range(self.p)))
 
     def sqrt_of_minus_one(self) -> Fp2Element:
         """A deterministic square root of -1 in GF(p^2)."""
         p = self.p
         if p % 4 == 1:
             r = _sqrt_mod_p(p - 1, p)
-            return Fp2Element(r, 0, p, self.omega)
+            return _fp2(r, 0, p, self.omega)
         # p = 3 mod 4: -1 is a non-residue mod p, so -1/omega is a residue
         # and (b*w)^2 = b^2*omega = -1 has a solution b mod p.
         b = _sqrt_mod_p((-pow(self.omega, p - 2, p)) % p, p)
-        return Fp2Element(0, b, p, self.omega)
+        return _fp2(0, b, p, self.omega)
 
     def __eq__(self, other):
         return isinstance(other, QuadExtDomain) and other.p == self.p

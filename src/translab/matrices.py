@@ -19,7 +19,6 @@ Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -29,7 +28,6 @@ from .fields import (
     QI,
     QQ,
     Field,
-    FpElement,
     Fp2Element,
     GaussianRational,
     PrimeFieldDomain,
@@ -486,13 +484,8 @@ def reduce_mod(A: Mat, q: int) -> Mat:
     target = GF(q)
     p = target.characteristic
     if A.field == QQ:
-        if isinstance(target, PrimeFieldDomain):
-            shared = _residue_elements(target)
-            red = [_red_frac(x, p) for x in A.entries()]
-            return Mat(target, A.rows, A.cols, [shared[r] for r in red]
-                       if shared else [FpElement(r, p) for r in red])
-        return Mat(target, A.rows, A.cols, [_red_frac_fp2(x, target) for x in A.entries()])
-    if A.field == QI:
+        red = [_red_frac(x, p) for x in A.entries()]
+    elif A.field == QI:
         if isinstance(target, PrimeFieldDomain):
             if p == 2:
                 ival = 1  # 1*1 = 1 = -1 mod 2
@@ -503,20 +496,20 @@ def reduce_mod(A: Mat, q: int) -> Mat:
             else:
                 raise BadPrime(
                     f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
+            red = [(_red_frac(x.re, p) + ival * _red_frac(x.im, p)) % p
+                   for x in A.entries()]
+        else:
+            ival2 = target.sqrt_of_minus_one()
             return Mat(target, A.rows, A.cols,
-                       [FpElement(_red_frac(x.re, p) + ival * _red_frac(x.im, p), p)
+                       [_red_frac_fp2(x.re, target) + ival2 * _red_frac_fp2(x.im, target)
                         for x in A.entries()])
-        ival2 = target.sqrt_of_minus_one()
-        return Mat(target, A.rows, A.cols,
-                   [_red_frac_fp2(x.re, target) + ival2 * _red_frac_fp2(x.im, target)
-                    for x in A.entries()])
-    raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
-
-
-@lru_cache(maxsize=None)
-def _residue_elements(target: PrimeFieldDomain) -> tuple:
-    """GF(p)'s elements by residue (none for p > 4096), shared by reductions."""
-    return tuple(target.elements()) if target.p <= 4096 else ()
+    else:
+        raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
+    # residue r is code r of GF(p) and code r*p of GF(p^2), r + 0w
+    shared = target.interned
+    step = 1 if isinstance(target, PrimeFieldDomain) else p
+    return Mat(target, A.rows, A.cols, [shared[r * step] for r in red]
+               if shared else [target.from_int(r) for r in red])
 
 
 def _red_frac(x: Fraction, p: int) -> int:

@@ -1,4 +1,5 @@
-"""Mutation check of the witness re-verifiers and the scans' witness paths.
+"""Mutation check of the witness re-verifiers, the scans' witness paths and
+the interned finite-field arithmetic.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -29,6 +30,8 @@ REVERIFY = "tests/test_reverifiers.py::"
 DECIDERS = "tests/test_deciders.py::"
 MODP = "tests/test_modp.py::"
 MATRICES = "tests/test_matrices.py::"
+FIELDS = "tests/test_fields.py::"
+FF_ORACLE = "tests/test_ff_oracle.py::"
 
 # (name, module, line, replacement, tests that must each fail)
 MUTANTS = [
@@ -81,6 +84,21 @@ MUTANTS = [
      [REVERIFY + "test_pencil_witnesses_are_reverified",
       REVERIFY + "test_transitivity_disproof_raises_when_its_witness_is"
       "_rejected"]),
+    ("interned-fp2-product-drops-omega", "fields.py",
+     "                return t[(a * oa + b * ob * self.omega) % p * p",
+     "                return t[(a * oa + b * ob) % p * p",
+     [FIELDS + "test_interned_results_equal_fresh_elements",
+      FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
+    ("interned-fp-subtraction-adds", "fields.py",
+     "                return t[(self.value - other.value) % p]",
+     "                return t[(self.value + other.value) % p]",
+     [FIELDS + "test_interned_results_equal_fresh_elements",
+      FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
+    ("interned-fp2-index-drops-final-mod", "fields.py",
+     "                return t[(self.a + other.a) % p * p + (self.b + other.b) % p]",
+     "                return t[(self.a + other.a) % p * p + (self.b + other.b)]",
+     [FIELDS + "test_interned_results_equal_fresh_elements",
+      FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
 ]
 
 
