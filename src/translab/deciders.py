@@ -251,7 +251,7 @@ def _scan_codes(V: MatrixSubspace) -> tuple:
 
 
 def _from_codes(field: Field, codes) -> list:
-    elems = field.interned or field.elements()
+    elems = field.elements()
     return [elems[int(c)] for c in codes]
 
 
@@ -367,7 +367,7 @@ def rank_one_elements_ff(L: MatrixSubspace,
         raise BudgetExceeded(f"{q}^{m + n} pairs exceed the budget")
     cok = L.coordinate_matrix().kernel()
     codes, omega = _codes(f, [x for z in cok for x in z])
-    elems = f.interned or f.elements()
+    elems = f.elements()
     return [Mat(f, m, n, [elems[a] * elems[b] for a in x for b in y])
             for x, y in modp.rank_one_pair_scan(
                 codes.reshape(len(cok), m * n), m, n, q, omega)]

@@ -19,13 +19,12 @@ Interning: a finite field of at most ``INTERN_MAX`` (4096) elements keeps
 one read-only tuple of its elements, its ``interned`` attribute, indexed
 by residue over GF(p) and by the code a*p + b over GF(p^2) (the order of
 ``elements()``).  Constructing the domain builds it; importing builds none.
-``+ - *`` of two elements of such a field, unary ``-``, ``inverse()``,
+``+ - *`` (an int operand is coerced first), unary ``-``, ``inverse()``,
 ``/`` and the domain's constructors (``zero``, ``one``, ``from_int``,
 ``from_pair``, ``gen``, ``parse``, ``elements``) return entries of that
-tuple instead of new objects.  Int operands go through the element
-constructor as before, mixed fields still raise ``ValueError``, and larger
-fields build a new element per result.  An interned element equals, and
-hashes like, a freshly constructed one.
+tuple instead of new objects.  Mixed fields still raise ``ValueError``,
+and larger fields build a new element per result.  An interned element
+equals, and hashes like, a freshly constructed one.
 
 String grammar (round trips are bit exact):
 
@@ -226,42 +225,25 @@ class FpElement(_Scalar):
             return FpElement(other, self.p)
         return None
 
-    # Each operator first tries the interned tuple of its field, which it
-    # reads only when other is an element of the same field.
     def __add__(self, other):
-        p = self.p
-        if other.__class__ is FpElement and other.p == p:
-            t = _FP_INTERNED.get(p)
-            if t is not None:
-                return t[(self.value + other.value) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value + o.value, p)
+        return _fp(self.value + o.value, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self.p
-        if other.__class__ is FpElement and other.p == p:
-            t = _FP_INTERNED.get(p)
-            if t is not None:
-                return t[(self.value - other.value) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value - o.value, p)
+        return _fp(self.value - o.value, self.p)
 
     def __mul__(self, other):
-        p = self.p
-        if other.__class__ is FpElement and other.p == p:
-            t = _FP_INTERNED.get(p)
-            if t is not None:
-                return t[self.value * other.value % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.value * o.value, p)
+        return _fp(self.value * o.value, self.p)
 
     __rmul__ = __mul__
 
@@ -323,46 +305,28 @@ class Fp2Element(_Scalar):
             return Fp2Element(other, 0, self.p, self.omega)
         return None
 
-    # As over GF(p), the interned tuple first; its index is a*p + b.
     def __add__(self, other):
-        p = self.p
-        if other.__class__ is Fp2Element and other.p == p:
-            t = _FP2_INTERNED.get(p)
-            if t is not None:
-                return t[(self.a + other.a) % p * p + (self.b + other.b) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Fp2Element(self.a + o.a, self.b + o.b, p, self.omega)
+        return _fp2(self.a + o.a, self.b + o.b, self.p, self.omega)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self.p
-        if other.__class__ is Fp2Element and other.p == p:
-            t = _FP2_INTERNED.get(p)
-            if t is not None:
-                return t[(self.a - other.a) % p * p + (self.b - other.b) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Fp2Element(self.a - o.a, self.b - o.b, p, self.omega)
+        return _fp2(self.a - o.a, self.b - o.b, self.p, self.omega)
 
     def __mul__(self, other):
-        p = self.p
-        if other.__class__ is Fp2Element and other.p == p:
-            t = _FP2_INTERNED.get(p)
-            if t is not None:
-                a, b, oa, ob = self.a, self.b, other.a, other.b
-                return t[(a * oa + b * ob * self.omega) % p * p
-                         + (a * ob + b * oa) % p]
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Fp2Element(
+        return _fp2(
             self.a * o.a + self.b * o.b * self.omega,
             self.a * o.b + self.b * o.a,
-            p,
+            self.p,
             self.omega,
         )
 

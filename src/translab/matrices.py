@@ -496,7 +496,7 @@ def reduce_mod(A: Mat, q: int) -> Mat:
             else:
                 raise BadPrime(
                     f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
-            red = [(_red_frac(x.re, p) + ival * _red_frac(x.im, p)) % p
+            red = [_red_frac(x.re, p) + ival * _red_frac(x.im, p)
                    for x in A.entries()]
         else:
             ival2 = target.sqrt_of_minus_one()
@@ -505,11 +505,7 @@ def reduce_mod(A: Mat, q: int) -> Mat:
                         for x in A.entries()])
     else:
         raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
-    # residue r is code r of GF(p) and code r*p of GF(p^2), r + 0w
-    shared = target.interned
-    step = 1 if isinstance(target, PrimeFieldDomain) else p
-    return Mat(target, A.rows, A.cols, [shared[r * step] for r in red]
-               if shared else [target.from_int(r) for r in red])
+    return Mat(target, A.rows, A.cols, [target.from_int(r) for r in red])
 
 
 def _red_frac(x: Fraction, p: int) -> int:

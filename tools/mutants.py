@@ -85,18 +85,18 @@ MUTANTS = [
       REVERIFY + "test_transitivity_disproof_raises_when_its_witness_is"
       "_rejected"]),
     ("interned-fp2-product-drops-omega", "fields.py",
-     "                return t[(a * oa + b * ob * self.omega) % p * p",
-     "                return t[(a * oa + b * ob) % p * p",
+     "            self.a * o.a + self.b * o.b * self.omega,",
+     "            self.a * o.a + self.b * o.b,",
      [FIELDS + "test_interned_results_equal_fresh_elements",
       FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
     ("interned-fp-subtraction-adds", "fields.py",
-     "                return t[(self.value - other.value) % p]",
-     "                return t[(self.value + other.value) % p]",
+     "        return _fp(self.value - o.value, self.p)",
+     "        return _fp(self.value + o.value, self.p)",
      [FIELDS + "test_interned_results_equal_fresh_elements",
       FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
     ("interned-fp2-index-drops-final-mod", "fields.py",
-     "                return t[(self.a + other.a) % p * p + (self.b + other.b) % p]",
-     "                return t[(self.a + other.a) % p * p + (self.b + other.b)]",
+     "    return t[a % p * p + b % p] if t is not None else Fp2Element(a, b, p, omega)",
+     "    return t[a % p * p + b] if t is not None else Fp2Element(a, b, p, omega)",
      [FIELDS + "test_interned_results_equal_fresh_elements",
       FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
 ]
