@@ -339,14 +339,15 @@ def definitional_k_transitive_ff(L: MatrixSubspace, k: int,
         raise ShapeMismatch("definitional exhaustive check needs GF(p)")
     q = f.size
     n = L.cols
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= cols")
     points = modp.gaussian_binomial(n, k, q)
     if points > budget:
         raise BudgetExceeded(f"{points} input subspaces exceed the budget")
     if L.dim == 0:
-        X = Mat.identity(f, n)
-        cols = [X.column(j) for j in range(k)]
-        first = Mat(f, n, k, [cols[j][i] for i in range(n) for j in range(k)])
-        return False, first, 0
+        # every input subspace fails; the first is spanned by e_1, ..., e_k
+        return False, Mat(f, n, k, [f.one() if i == j else f.zero()
+                                    for i in range(n) for j in range(k)]), 0
     basis = _subspace_to_int_array(L)
     ok, failure, pts = modp.surjectivity_scan(basis, k, q)
     if ok:
@@ -433,9 +434,7 @@ def pencil_min_rank_exact(V: MatrixSubspace, k: int) -> PencilResult:
     # particular over C
     for g in (f, QI) if f == QQ else (f,):
         W = V if g == f else _lift_to_qi(V)
-        form = gcd if g == f else BinaryForm.from_poly(
-            tuple(GaussianRational(c, 0) for c in gcd.poly), gcd.inf_mult)
-        for (c0, c1) in form.roots_in_field(g):
+        for (c0, c1) in gcd.roots_in_field(g):
             T = W.basis[0].scale(c0) + W.basis[1].scale(c1)
             if not T.is_zero() and T.rank() <= k:
                 return PencilResult(True, _witness((c0, c1), T, k, W), g.tag,
@@ -535,7 +534,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         if d == 0:
             return TransitivityVerdict(Status.CERTIFIED_EXACT, k, None, (), ev)
         coeffs = [Lp.field.one()] + [Lp.field.zero()] * (d - 1)
-        return _disproved(k, coeffs, Lp.basis[0], Lp, ev)
+        return _disproved(k, _witness(coeffs, Lp.basis[0], k, Lp), ev)
 
     if d == 0:
         ev["steps"].append("pre-annihilator is zero")
@@ -552,8 +551,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         if not res.low_rank_exists:
             return TransitivityVerdict(Status.CERTIFIED_EXACT, k, None, (), ev)
         if res.witness is not None:
-            ev["witness_field"] = res.witness_field_tag
-            return TransitivityVerdict(Status.DISPROVED, k, res.witness, (), ev)
+            return _disproved(k, res.witness, ev)
         ev["steps"].append(
             "a low-rank element exists over the algebraic closure but has "
             "no root in the base field; no witness to report")
@@ -565,7 +563,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             ev["steps"].append(f"basis scan hit at index {i}")
             coeffs = [Lp.field.zero()] * d
             coeffs[i] = Lp.field.one()
-            return _disproved(k, coeffs, B, Lp, ev)
+            return _disproved(k, _witness(coeffs, B, k, Lp), ev)
 
     def at_prime(p, reductions, info):
         # the route scan over GF(p); a rank <= k element found there ends
@@ -586,7 +584,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             T = Lp.element(cand)
             if not T.is_zero() and T.rank() <= k:
                 info["lifted"] = True
-                return _disproved(k, cand, T, Lp, ev)
+                return _disproved(k, _witness(cand, T, k, Lp), ev)
         info["lifted"] = False
         return False
 
@@ -610,8 +608,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             restarts=numeric_restarts, max_denominator=max_denominator,
             stats=ev["numeric"])
         if w is not None:
-            ev["witness_field"] = Lp.field.tag
-            return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
+            return _disproved(k, w, ev)
 
     return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
 
@@ -633,15 +630,20 @@ def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
     if coeffs is None:
         return TransitivityVerdict(
             Status.CERTIFIED_FINITE_FIELD, k, None, (L.field.size,), ev)
-    return _disproved(k, coeffs, T, Lp, ev)
+    return _disproved(k, _witness(coeffs, T, k, Lp), ev)
 
 
-def _disproved(k, coeffs, T, Lp, ev) -> TransitivityVerdict:
-    """The disproved verdict for T, a rank <= k element of Lp with the
-    given coordinates, once an independent exact check confirms it."""
-    w = _witness(coeffs, T, k, Lp)
-    ev["witness_field"] = Lp.field.tag
-    return TransitivityVerdict(Status.DISPROVED, k, w, (), ev)
+def _disproved(k, witness: RankWitness, ev) -> TransitivityVerdict:
+    """The disproved transitivity verdict for a verified rank witness,
+    labelled with the field the witness lives in."""
+    ev["witness_field"] = witness.matrix.field.tag
+    return TransitivityVerdict(Status.DISPROVED, k, witness, (), ev)
+
+
+def _violated(k, X: Mat, ev) -> SeparationVerdict:
+    """The same for a verified separation violation X."""
+    ev["witness_field"] = X.field.tag
+    return SeparationVerdict(Status.DISPROVED, k, X, (), ev)
 
 
 _STEP_TEXT = {
@@ -808,17 +810,16 @@ def _denominator_lcm(S: MatrixSubspace) -> int:
 
 
 def _reduction_when_needed(S: MatrixSubspace, p: int, den: int):
-    """A function returning S.reduce_mod(p), den being _denominator_lcm(S).
+    """A function returning S.reduce_mod(p) when first called, den being
+    _denominator_lcm(S) and p a prime.
 
-    When the reduction may raise BadPrime it runs here, so that it raises
-    here with its own text.  It cannot raise when p is a prime that
-    divides no denominator and, over Q(i), -1 is a square mod p; then it
-    runs when the function is first called.
+    When p divides a denominator, or -1 is no square mod p over Q(i), the
+    reduction of a nonzero S raises BadPrime; it then runs here first, so
+    that it raises here with its own text.  A zero S reduces at every p.
     """
-    if is_prime(p) and den % p and (S.field == QQ or p == 2 or p % 4 == 1):
-        return functools.cache(lambda: S.reduce_mod(p))
-    Sp = S.reduce_mod(p)
-    return lambda: Sp
+    if not den % p or (S.field == QI and p % 4 == 3):
+        S.reduce_mod(p)
+    return functools.cache(lambda: S.reduce_mod(p))
 
 
 def transitivity_disproof_from_witness(L: MatrixSubspace, k: int,
@@ -926,8 +927,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
             return SeparationVerdict(
                 Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
         _require(_verify_separation_violation(L, bad), "separation violation")
-        ev["witness_field"] = L.field.tag
-        return SeparationVerdict(Status.DISPROVED, k, bad, (), ev)
+        return _violated(k, bad, ev)
 
     if strategy == "sample":
         rng = random.Random(seed)
@@ -935,8 +935,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         for _ in range(trials):
             X = _random_full_rank(rng, f, n, k)
             if _verify_separation_violation(L, X):
-                ev["witness_field"] = f.tag
-                return SeparationVerdict(Status.DISPROVED, k, X, (), ev)
+                return _violated(k, X, ev)
         ev["steps"].append("no counterexample found by sampling")
         return SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
 
@@ -954,8 +953,7 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
                      [L.field.from_int(x.value) for x in bad.entries()])
         if lifted.rank() == k and _verify_separation_violation(L, lifted):
             info["lifted"] = True
-            ev["witness_field"] = L.field.tag
-            return SeparationVerdict(Status.DISPROVED, k, lifted, (), ev)
+            return _violated(k, lifted, ev)
         info["lifted"] = False
         return False
 

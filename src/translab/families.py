@@ -20,16 +20,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from .errors import ParameterOutOfRange, ShapeMismatch, VerificationFailed
 from .fields import Field, QQ
-from .matrices import Mat
+from .matrices import Mat, _matvec
 from .polynomials import (
     charpoly,
     factor_over_rationals,
+    poly_divmod,
     poly_is_squarefree,
+    poly_mul,
     poly_sub,
     poly_trim,
     quotient_kernel,
@@ -80,6 +82,14 @@ def _diagonal_positions(rows: int, cols: int, delta: int) -> list:
     return out
 
 
+def _sparse(field: Field, rows: int, cols: int, entries: dict) -> Mat:
+    """The rows x cols matrix with the given {(i, j): x} entries and zeros
+    elsewhere."""
+    z = field.zero()
+    return Mat(field, rows, cols, [entries.get((i, j), z) for i in range(rows)
+                                   for j in range(cols)])
+
+
 def vandermonde_diagonal_space(p: int, k: int,
                                field: Field = QQ) -> MatrixSubspace:
     """Span of diag(1^t, 2^t, ..., p^t) for 0 <= t < p - k inside Mat(p, p).
@@ -112,10 +122,8 @@ def min_rank_diagonal_annihilator(m: int, n: int, k: int,
         if p <= k:
             continue
         for t in range(p - k):
-            entries = {pos[s]: field.from_int((s + 1)**t) for s in range(p)}
-            gens.append(Mat(field, n, m,
-                            [entries.get((i, j), field.zero())
-                             for i in range(n) for j in range(m)]))
+            gens.append(_sparse(field, n, m, {pos[s]: field.from_int((s + 1)**t)
+                                              for s in range(p)}))
     return MatrixSubspace.from_generators(gens, rows=n, cols=m, field=field)
 
 
@@ -139,9 +147,7 @@ def minimal_k_transitive_obstruction(m: int, n: int, k: int,
         pos = _diagonal_positions(n, m, delta)
         if len(pos) > k and (best is None or len(pos) < len(best)):
             best = pos
-    entries = {q: field.one() for q in best}
-    return Mat(field, n, m, [entries.get((i, j), field.zero())
-                             for i in range(n) for j in range(m)])
+    return _sparse(field, n, m, dict.fromkeys(best, field.one()))
 
 
 # ------------------------------------------------------------- structured
@@ -150,12 +156,9 @@ def toeplitz_space(n: int, field: Field = QQ) -> MatrixSubspace:
     """All n x n matrices constant along diagonals; dimension 2n - 1."""
     if n < 1:
         raise ParameterOutOfRange("toeplitz_space needs n >= 1")
-    gens = []
-    for delta in range(-(n - 1), n):
-        pos = _diagonal_positions(n, n, delta)
-        gens.append(Mat(field, n, n,
-                        [field.one() if (i, j) in set(pos) else field.zero()
-                         for i in range(n) for j in range(n)]))
+    gens = [_sparse(field, n, n, dict.fromkeys(_diagonal_positions(n, n, delta),
+                                               field.one()))
+            for delta in range(-(n - 1), n)]
     return MatrixSubspace.from_generators(gens, rows=n, cols=n, field=field)
 
 
@@ -224,10 +227,7 @@ def rank_annihilator_space(m: int, n: int, k: int,
 def rank_annihilator_obstruction(m: int, n: int, k: int,
                                  field: Field = QQ) -> Mat:
     """The rank-(k+1) matrix sum(E_ii, i <= k+1) in Mat(n, m)."""
-    out = Mat.zeros(field, n, m)
-    for i in range(k + 1):
-        out = out + Mat.unit(field, n, m, i, i)
-    return out
+    return _sparse(field, n, m, {(i, i): field.one() for i in range(k + 1)})
 
 
 # ---------------------------------------------------------- dual transitive
@@ -243,16 +243,10 @@ class LinearMapTable:
     def apply(self, A: Mat) -> Mat:
         if A.shape != (self.size, self.size):
             raise ShapeMismatch("map table size mismatch")
-        v = vec(A)
-        out = []
-        for i in range(self.size * self.size):
-            s = A.field.zero()
-            row = self.matrix.row(i)
-            for c, x in zip(row, v):
-                if c and x:
-                    s = s + c * x
-            out.append(s)
-        return Mat(A.field, self.size, self.size, out)
+        n = self.size
+        # from_rows lifts the rational entries of a Q table applied over Q(i)
+        out = _matvec(self.matrix, vec(A))
+        return Mat.from_rows(A.field, [out[i:i + n] for i in range(0, n * n, n)])
 
 
 _DUAL_TRANSITIVE_PATTERNS = {
@@ -285,8 +279,7 @@ def _pattern_matrix(field: Field, n: int, placements) -> Mat:
         entries[(i, j)] = (c if not isinstance(c, int) else field.from_int(c))
         if isinstance(entries[(i, j)], Fraction) and field != QQ:
             raise ShapeMismatch("fractional pattern needs the rational field")
-    return Mat(field, n, n, [entries.get((i, j), field.zero())
-                             for i in range(n) for j in range(n)])
+    return _sparse(field, n, n, entries)
 
 
 def dual_transitive_phi() -> LinearMapTable:
@@ -415,7 +408,9 @@ def _min_sample_rank(rng, L: MatrixSubspace, samples: int) -> int:
     return best
 
 
+@cache
 def _phi_block_components(n: int, k: int, field: Field):
+    # cached per (n, k, field); equal fields have equal tags
     _check_phi_block_params(n, k)
     dim_n = (n - k) ** 2
     r = n * n - dim_n
@@ -446,27 +441,17 @@ def _phi_apply(N: MatrixSubspace, V: MatrixSubspace, A: Mat) -> Mat:
     return V.element([x for pos, x in enumerate(rest) if pos not in pivset])
 
 
-_PHI_BLOCK_CACHE: dict = {}
-
-
 def phi_block_map(n: int, k: int, field: Field = QQ) -> LinearMapTable:
     """The map behind the block construction, as a coordinate table.
 
     Its kernel is a maximal low-rank-free space N and its range a full
     quotient-size subspace of N; see phi_block_space.
     """
-    N, V, _space = _phi_block_cached(n, k, field)
+    N, V, _space = _phi_block_components(n, k, field)
     cols = [vec(_phi_apply(N, V, Mat.unit(field, n, n, *divmod(pos, n))))
             for pos in range(n * n)]
     entries = [cols[j][i] for i in range(n * n) for j in range(n * n)]
     return LinearMapTable(n, Mat(field, n * n, n * n, entries))
-
-
-def _phi_block_cached(n: int, k: int, field: Field):
-    key = (n, k, field.tag)
-    if key not in _PHI_BLOCK_CACHE:
-        _PHI_BLOCK_CACHE[key] = _phi_block_components(n, k, field)
-    return _PHI_BLOCK_CACHE[key]
 
 
 def phi_block_space(n: int, k: int, field: Field = QQ) -> MatrixSubspace:
@@ -481,7 +466,7 @@ def phi_block_space(n: int, k: int, field: Field = QQ) -> MatrixSubspace:
     The constructor keeps the first deterministic candidate passing exact
     rank filters; finite-field certification is the deciders' job.
     """
-    return _phi_block_cached(n, k, field)[2]
+    return _phi_block_components(n, k, field)[2]
 
 
 # ------------------------------------------------------------ eigen checks
@@ -535,8 +520,6 @@ def phi_eigen_structure(phi: LinearMapTable) -> dict:
 def _quotient_det2(v: list, nb: int, modulus) -> tuple:
     """Determinant residue of the nb x nb reshape of a residue vector
     (only nb = 2 is needed)."""
-    from .polynomials import poly_divmod, poly_mul
-
     if nb != 2:
         raise ShapeMismatch("eigenvector rank check implemented for 2x2 blocks")
     a, b, c, d = v

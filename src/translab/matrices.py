@@ -28,10 +28,8 @@ from .fields import (
     QI,
     QQ,
     Field,
-    Fp2Element,
     GaussianRational,
     PrimeFieldDomain,
-    QuadExtDomain,
     Scalar,
     conjugate,
 )
@@ -194,8 +192,7 @@ class Mat:
 
     def conj_transpose(self) -> "Mat":
         return Mat(self.field, self.cols, self.rows,
-                   [conjugate(self._e[i * self.cols + j])
-                    for j in range(self.cols) for i in range(self.rows)])
+                   [conjugate(x) for x in self.transpose()._e])
 
     def trace(self) -> Scalar:
         if not self.is_square():
@@ -501,7 +498,8 @@ def reduce_mod(A: Mat, q: int) -> Mat:
         else:
             ival2 = target.sqrt_of_minus_one()
             return Mat(target, A.rows, A.cols,
-                       [_red_frac_fp2(x.re, target) + ival2 * _red_frac_fp2(x.im, target)
+                       [target.from_int(_red_frac(x.re, p))
+                        + ival2 * target.from_int(_red_frac(x.im, p))
                         for x in A.entries()])
     else:
         raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
@@ -512,7 +510,3 @@ def _red_frac(x: Fraction, p: int) -> int:
     if x.denominator % p == 0:
         raise BadPrime(f"denominator of {x} is divisible by {p}")
     return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _red_frac_fp2(x: Fraction, target: QuadExtDomain) -> Fp2Element:
-    return target.from_pair(_red_frac(x, target.p), 0)

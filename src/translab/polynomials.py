@@ -10,7 +10,7 @@ whichever field the coefficients live in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .fields import Field, GaussianRational, QI, QQ
@@ -112,16 +112,7 @@ def poly_gcd(p, q) -> tuple:
 
 
 def poly_derivative(p) -> tuple:
-    if len(p) <= 1:
-        return ()
-    out = []
-    for i in range(1, len(p)):
-        c = p[i]
-        s = c
-        for _ in range(i - 1):
-            s = s + c
-        out.append(s)
-    return poly_trim(out)
+    return poly_trim([p[i] * i for i in range(1, len(p))])
 
 
 def poly_eval(p, x):
@@ -195,23 +186,16 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     p = poly_trim(p)
     if not p or len(p) == 1:
         return []
-    # strip powers of x
+    # strip powers of x; p[-1] is nonzero, so p stays nonempty
     roots = set()
     while p[0] == 0:
         roots.add(Fraction(0))
         p = p[1:]
-        if len(p) == 1:
-            break
     if len(p) > 1:
-        from math import gcd, lcm
-
-        den = lcm(*[c.denominator for c in p]) if len(p) > 1 else 1
+        den = lcm(*[c.denominator for c in p])
         ip = [int(c * den) for c in p]
-        g = 0
-        for c in ip:
-            g = gcd(g, c)
-        if g:
-            ip = [c // g for c in ip]
+        g = gcd(*ip)  # nonzero: p is trimmed
+        ip = [c // g for c in ip]
         a0, an = ip[0], ip[-1]
         for r in _divisors(abs(a0)):
             for s in _divisors(abs(an)):
@@ -414,9 +398,7 @@ def factor_over_rationals(p: Sequence[Fraction]) -> list[tuple]:
                 work = q
                 changed = True
                 break
-    if len(work) == 2:
-        factors.append(monic(work))
-    elif len(work) == 3:
+    if len(work) == 3:
         factors.append(monic(work))  # quadratic with no rational roots
     elif len(work) > 3:
         raise ValueError(

@@ -259,12 +259,11 @@ def report_rows(seconds: list | None = None) -> list:
     # product of transitive spaces gains transitivity; the dually
     # transitive space keeps its product proper (codimension one), and the
     # singleton annihilator earns the stronger exact certification
-    prod = D.product_span(D)
-    vprod = check_k_transitive(prod, 2, primes=(5,))
+    vprod = check_k_transitive(D2, 2, primes=(5,))
     rows.append(_row(
         "product-gains-transitivity",
         "the product of two transitive subspaces of Mat(4,4) is 2-transitive",
-        [prod.is_full(), vprod.certified],
+        [D2.is_full(), vprod.certified],
         [False, True],
         "exact (singleton annihilator pencil); subsumes the GF(5) reading"))
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import (NotIdempotent, ShapeMismatch, SingularTransform,
                      VerificationFailed)
-from .fields import QQ, Field
+from .fields import GF, QQ, Field
 from .matrices import (Mat, _coerce, _kernel_rows, _rref_rows,
                        reduce_mod as _reduce_mat)
 
@@ -440,10 +440,11 @@ class MatrixSubspace:
         reduced space, of the same dimension (raises BadPrime when a
         denominator collides with the characteristic).
         """
+        if self.field.is_finite:
+            raise ShapeMismatch(
+                f"reduce_mod expects a matrix over Q or Qi, got {self.field.tag}")
         red = [_reduce_mat(B, q) for B in self.basis]
         if not red:
-            from .fields import GF
-
             return MatrixSubspace.zero_space(GF(q), self.rows, self.cols)
         return MatrixSubspace(red[0].field, self.rows, self.cols, red,
                               self._pivots)

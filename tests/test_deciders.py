@@ -1284,3 +1284,17 @@ def test_final_column_fall_through_raises_verification_failed():
     e0 = (f.one(), f.zero())
     with pytest.raises(VerificationFailed, match="final column"):
         _choose_final_vector(f, 2, [e0], [e0])
+
+
+def test_definitional_ff_needs_k_between_one_and_cols():
+    # k = 3 used to raise IndexError and k = 0 to return a 2x0 failure
+    Z = MatrixSubspace.zero_space(GF(3), 2, 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="need 1 <= k <= cols"):
+            definitional_k_transitive_ff(Z, k)
+    # every input subspace of the zero space fails; the first is span(e_1)
+    # for k = 1 and everything for k = 2
+    f = GF(3)
+    assert definitional_k_transitive_ff(Z, 1) == (
+        False, Mat.from_rows(f, [[1], [0]]), 0)
+    assert definitional_k_transitive_ff(Z, 2) == (False, Mat.identity(f, 2), 0)

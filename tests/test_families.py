@@ -33,7 +33,7 @@ from translab.families import (
     trace_zero,
     vandermonde_diagonal_space,
 )
-from translab.fields import GF, QQ
+from translab.fields import GF, QI, QQ, GaussianRational
 from translab.matrices import Mat
 from translab.subspace import MatrixSubspace
 
@@ -150,6 +150,19 @@ def test_dual_transitive_displayed_parameterizations():
     A = Mat.from_rows(QQ, [[1, 2], [3, 4]])
     assert phi.apply(A) == Mat.from_rows(QQ, [[4, 6], [2, 1]])
     assert dual_transitive_theorem_form().dim == 8
+
+
+def test_rational_map_table_applies_over_qi():
+    # a table over Q maps a Q(i) matrix to a Q(i) matrix, the entries that
+    # no product reaches included
+    z = GaussianRational(1, 1)
+    A = Mat.from_rows(QI, [[z, 0], [0, 0]])
+    assert dual_transitive_phi().apply(A) == Mat.from_rows(QI, [[0, 0], [0, z]])
+    T = dual_transitive_theorem_form(QI)
+    assert (T.field, T.dim) == (QI, 8)
+    assert T == MatrixSubspace.from_generators(
+        [Mat.from_rows(QI, B.tolists()) for B in dual_transitive_theorem_form().basis],
+        rows=4, cols=4, field=QI)
 
 
 def test_dual_transitive_both_sides_transitive():

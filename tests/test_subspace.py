@@ -438,3 +438,16 @@ def test_tensor_is_canonical_basis_of_kronecker_products(field, data):
     assert got == want
     assert got._pivots == want._pivots
     assert got.dim == L.dim * M.dim
+
+
+def test_reduce_mod_rejects_every_finite_field_space():
+    # the zero space over GF(5) used to come back over GF(7)
+    for S in (MatrixSubspace.zero_space(GF(5), 2, 2),
+              MatrixSubspace.full_space(GF(5), 2, 2)):
+        with pytest.raises(ShapeMismatch,
+                           match=r"expects a matrix over Q or Qi, got GF\(5\)"):
+            S.reduce_mod(7)
+    # a zero space over Q or Q(i) still reduces, at 7 too
+    for f in (QQ, QI):
+        Z = MatrixSubspace.zero_space(f, 2, 3).reduce_mod(7)
+        assert (Z.field, Z.dim, Z.rows, Z.cols) == (GF(7), 0, 2, 3)

@@ -1,5 +1,6 @@
-"""Mutation check of the witness re-verifiers, the scans' witness paths and
-the interned finite-field arithmetic.
+"""Mutation check of the witness re-verifiers, the scans' witness paths,
+the interned finite-field arithmetic, the per-prime reductions and the
+map tables.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -32,6 +33,8 @@ MODP = "tests/test_modp.py::"
 MATRICES = "tests/test_matrices.py::"
 FIELDS = "tests/test_fields.py::"
 FF_ORACLE = "tests/test_ff_oracle.py::"
+RARE = "tests/test_rare_paths.py::"
+FAMILIES = "tests/test_families.py::"
 
 # (name, module, line, replacement, tests that must each fail)
 MUTANTS = [
@@ -99,6 +102,14 @@ MUTANTS = [
      "    return t[a % p * p + b] if t is not None else Fp2Element(a, b, p, omega)",
      [FIELDS + "test_interned_results_equal_fresh_elements",
       FF_ORACLE + "test_finite_field_deciders_match_the_oracle"]),
+    ("reduction-skips-the-raising-call", "deciders.py",
+     "        S.reduce_mod(p)", "        pass",
+     [RARE + "test_qi_certification_skips_the_primes_without_a_square_root"
+      "_of_minus_one"]),
+    ("map-table-keeps-rational-zeros", "families.py",
+     "        return Mat.from_rows(A.field, [out[i:i + n] for i in range(0, n * n, n)])",
+     "        return Mat(A.field, n, n, out)",
+     [FAMILIES + "test_rational_map_table_applies_over_qi"]),
 ]
 
 
