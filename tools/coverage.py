@@ -17,7 +17,7 @@ line that now runs (delete it from the list), 2 when a test fails.
 subprocess, such as the python -O checks, run with src on PYTHONPATH but
 are not traced.  Hypothesis runs derandomized without its example
 database, so two runs trace the same lines.  Under the tracer the suite
-runs about four times slower, so a test that only bounds wall-clock time
+runs about three times slower, so a test that only bounds wall-clock time
 (WALL_CLOCK) may fail; its failure is reported and does not count.
 """
 
