@@ -6,8 +6,8 @@ family addresses (toeplitz:3, minimal:4,5,2, phiblock:4,1, ...), accepted
 anywhere a file path is.  All output is deterministic JSON on stdout.
 
 Exit codes: 0 computed (the verdict may still be "unknown"), 1 usage or
-input error, 2 enumeration budget exceeded.  Randomized paths take --seed
-and default to seed 0.
+input error, 2 enumeration budget exceeded (extremes; check and sep report
+"unknown" instead).  Randomized paths take --seed and default to seed 0.
 """
 
 from __future__ import annotations

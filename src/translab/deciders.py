@@ -541,7 +541,11 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         return TransitivityVerdict(Status.CERTIFIED_EXACT, k, None, (), ev)
 
     if L.field.is_finite:
-        return _check_transitive_ff_ambient(L, Lp, k, budget, ev)
+        def decide():
+            coeffs, T = _low_rank_over_own_field(L.field, L, lambda: L,
+                                                 lambda: Lp, k, budget, ev)
+            return coeffs and _disproved(k, _witness(coeffs, T, k, Lp), ev)
+        return _own_field_verdict(TransitivityVerdict, L, k, ev, decide)
 
     if d <= 2:
         ev["steps"].append("pencil route (dim <= 2)")
@@ -570,12 +574,8 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         # certification once its plain or centered lift verifies over L's
         # field
         own_q, perp_q = reductions
-        try:
-            coeffs, _T = _low_rank_over_own_field(GF(p), L, own_q, perp_q,
-                                                  k, budget, info)
-        except BudgetExceeded as exc:
-            info["skipped"] = str(exc)
-            return False
+        coeffs, _T = _low_rank_over_own_field(GF(p), L, own_q, perp_q, k,
+                                              budget, info)
         if coeffs is None:
             return True
         info["low_rank_mod_p"] = True
@@ -619,18 +619,17 @@ def _cert_to_strings(cert, f: Field):
             "infinity_multiplicity": inf}
 
 
-def _check_transitive_ff_ambient(L, Lp, k, budget, ev) -> TransitivityVerdict:
-    """Exhaustive decision over the subspace's own finite field."""
+def _own_field_verdict(kind, L, k, ev, decide):
+    """The verdict of the given kind from the exhaustive decision decide()
+    over L's own finite field: its disproof, certified when it returns
+    None, unknown when its enumeration exceeds the budget."""
     try:
-        coeffs, T = _low_rank_over_own_field(L.field, L, lambda: L,
-                                             lambda: Lp, k, budget, ev)
+        verdict = decide()
     except BudgetExceeded:
         ev["steps"].append("enumeration exceeds the budget")
-        return TransitivityVerdict(Status.UNKNOWN, k, None, (), ev)
-    if coeffs is None:
-        return TransitivityVerdict(
-            Status.CERTIFIED_FINITE_FIELD, k, None, (L.field.size,), ev)
-    return _disproved(k, _witness(coeffs, T, k, Lp), ev)
+        return kind(Status.UNKNOWN, k, None, (), ev)
+    return verdict or kind(Status.CERTIFIED_FINITE_FIELD, k, None,
+                           (L.field.size,), ev)
 
 
 def _disproved(k, witness: RankWitness, ev) -> TransitivityVerdict:
@@ -653,36 +652,6 @@ _STEP_TEXT = {
 }
 
 
-def _choose_route(f, m: int, n: int, d_perp: int, k: int, budget: int):
-    """The exhaustive route over the finite field f, by point count.
-
-    The pre-annihilator route visits the projective_count(d_perp, q)
-    elements of L^perp up to scalars, the input-subspace route the Gr(k, n)
-    input subspaces of L and the output-subspace route the Gr(k, m) input
-    subspaces of L^T; the last two need a prime field.  The witness route
-    is the cheaper of the first two, ties to the pre-annihilator, when its
-    enumeration fits the budget; the output route replaces it only when
-    strictly cheaper.  Returns (route, witness route, counts), both routes
-    None when no route fits the budget.
-    """
-    q = f.size
-    counts = {"pre-annihilator": modp.projective_count(d_perp, q)}
-    if isinstance(f, PrimeFieldDomain):
-        counts["input-subspaces"] = modp.gaussian_binomial(n, k, q)
-        counts["output-subspaces"] = modp.gaussian_binomial(m, k, q)
-    cols = counts.get("input-subspaces")
-    if cols is not None and cols < counts["pre-annihilator"] and cols <= budget:
-        witness_route = "input-subspaces"
-    elif q**d_perp <= budget:
-        witness_route = "pre-annihilator"
-    else:
-        return None, None, counts
-    route = witness_route
-    if counts.get("output-subspaces", counts[route]) < counts[route]:
-        route = "output-subspaces"
-    return route, witness_route, counts
-
-
 def _low_rank_over_own_field(f, L, own, perp, k, budget, info):
     """The first nonzero element of rank <= k of Lp = perp(), the
     pre-annihilator of L over the finite field f, as (coeffs, T), or
@@ -690,52 +659,59 @@ def _low_rank_over_own_field(f, L, own, perp, k, budget, info):
     and dimension are read, which a reduction keeps.  own and perp are
     called only by the routes that need them.
 
-    Runs the route of _choose_route and records the compared counts, the
-    route and its points in info.  The witness is the first one of the
-    witness route in its documented order; when the output route finds a
-    failure, the witness route runs as well and must fail too, and both
-    routes and their points are recorded.  Raises BudgetExceeded when no
-    route fits the budget.
+    The route is chosen by point count.  The pre-annihilator route visits
+    the projective_count(d_perp, q) elements of L^perp up to scalars, the
+    input-subspace route the Gr(k, n) input subspaces of L and the
+    output-subspace route the Gr(k, m) input subspaces of L^T; the last
+    two need a prime field.  The witness route is the cheaper of the first
+    two, ties to the pre-annihilator, when its enumeration fits the
+    budget; the output route replaces it only when strictly cheaper.
+    Raises BudgetExceeded when no route fits the budget.
+
+    Records the compared counts, the route and its points in info.  The
+    witness is the first one of the witness route in its documented order;
+    when the output route finds a failure, the witness route runs as well
+    and must fail too, and both routes and their points are recorded.
     """
-    route, witness_route, info["route_choice"] = _choose_route(
-        f, L.rows, L.cols, L.rows * L.cols - L.dim, k, budget)
-    if route is None:
+    q, m, n = f.size, L.rows, L.cols
+    d_perp = m * n - L.dim
+    counts = info["route_choice"] = {
+        "pre-annihilator": modp.projective_count(d_perp, q)}
+    if isinstance(f, PrimeFieldDomain):
+        counts["input-subspaces"] = modp.gaussian_binomial(n, k, q)
+        counts["output-subspaces"] = modp.gaussian_binomial(m, k, q)
+    cols = counts.get("input-subspaces")
+    if cols is not None and cols < counts["pre-annihilator"] and cols <= budget:
+        route = "input-subspaces"
+    elif q**d_perp <= budget:
+        route = "pre-annihilator"
+    else:
         raise BudgetExceeded("both enumeration routes exceed the budget")
-    info["route"] = route
+    confirm = counts.get("output-subspaces", counts[route]) < counts[route]
+    info["route"] = "output-subspaces" if confirm else route
     steps = info.get("steps")
     if steps is not None:
-        steps.append(_STEP_TEXT[route])
-    if route == "output-subspaces":
+        steps.append(_STEP_TEXT[info["route"]])
+    points = "points"
+    if confirm:
         # L is k-transitive iff L^T is: (L^T)^perp = (L^perp)^T, and
         # transposing keeps every rank
         ok, _X, info["points"] = modp.surjectivity_scan(
-            _subspace_to_int_array(own()).transpose(0, 2, 1), k, f.size)
+            _subspace_to_int_array(own()).transpose(0, 2, 1), k, q)
         if ok:
             return None, None
-        info["witness_route"] = witness_route
+        info["witness_route"], points = route, "witness_points"
         if steps is not None:
-            steps.append(_STEP_TEXT[witness_route])
-        coeffs, T, info["witness_points"] = _witness_route_scan(
-            witness_route, own, perp, k, budget)
-        _require(coeffs is not None, "output-subspace scan")
-        return coeffs, T
-    coeffs, T, info["points"] = _witness_route_scan(route, own, perp, k,
-                                                    budget)
-    return coeffs, T
-
-
-def _witness_route_scan(route, own, perp, k, budget):
-    """(coeffs, T, points) of the first rank <= k element of Lp = perp(),
-    the pre-annihilator of L = own(), that the input-subspace or
-    pre-annihilator route finds, coeffs and T None when it finds none."""
+            steps.append(_STEP_TEXT[route])
     if route == "pre-annihilator":
-        return _ff_low_rank_threshold(perp(), k, budget)
-    L = own()
-    ok, X, pts = definitional_k_transitive_ff(L, k, budget)
-    if ok:
-        return None, None, pts
-    coeffs, T = _witness_from_failing_input(L, perp(), X, k)
-    return coeffs, T, pts
+        coeffs, T, info[points] = _ff_low_rank_threshold(perp(), k, budget)
+    else:
+        ok, X, info[points] = definitional_k_transitive_ff(own(), k, budget)
+        coeffs, T = (None, None) if ok else _witness_from_failing_input(
+            own(), perp(), X, k)
+    if confirm:
+        _require(coeffs is not None, "output-subspace scan")
+    return coeffs, T
 
 
 def _witness_from_failing_input(L, Lp, X: Mat, k: int):
@@ -788,7 +764,11 @@ def _certify_over_primes(kind, k, reduce, primes, ev, at_prime):
             plan.extend(itertools.islice(fallback, 1))
             continue
         ran += 1
-        outcome = at_prime(p, reductions, info)
+        try:
+            outcome = at_prime(p, reductions, info)
+        except BudgetExceeded as exc:  # p ran but certifies nothing
+            info["skipped"] = str(exc)
+            outcome = False
         if isinstance(outcome, _Verdict):
             return outcome
         if outcome:
@@ -920,14 +900,15 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         return pts
 
     if L.field.is_finite:
-        q = L.field.size
-        ev["points"] = flags(q)
-        bad = _separation_scan_ff(L, k)
-        if bad is None:
-            return SeparationVerdict(
-                Status.CERTIFIED_FINITE_FIELD, k, None, (q,), ev)
-        _require(_verify_separation_violation(L, bad), "separation violation")
-        return _violated(k, bad, ev)
+        def decide():
+            ev["points"] = flags(L.field.size)
+            bad = _separation_scan_ff(L, k)
+            if bad is None:
+                return None
+            _require(_verify_separation_violation(L, bad),
+                     "separation violation")
+            return _violated(k, bad, ev)
+        return _own_field_verdict(SeparationVerdict, L, k, ev, decide)
 
     if strategy == "sample":
         rng = random.Random(seed)
@@ -938,8 +919,6 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
                 return _violated(k, X, ev)
         ev["steps"].append("no counterexample found by sampling")
         return SeparationVerdict(Status.UNKNOWN, k, None, (), ev)
-
-    flags(max(primes, default=5))
 
     def at_prime(p, reductions, info):
         # the flag scan over GF(p); a violating flag found there ends

@@ -282,12 +282,15 @@ def _pattern_matrix(field: Field, n: int, placements) -> Mat:
     return _sparse(field, n, n, entries)
 
 
+_DUAL_TRANSITIVE_PHI_ROWS = [[0, 0, 0, 1], [0, 0, 2, 0], [0, 1, 0, 0],
+                             [1, 0, 0, 0]]
+
+
 def dual_transitive_phi() -> LinearMapTable:
     """The bijection of Mat(2, 2) sending [[a, b], [c, d]] to
     [[d, 2c], [b, a]]: four distinct eigenvalues (1, -1, +-sqrt(2)) whose
     eigenvectors all have rank 2."""
-    rows = [[0, 0, 0, 1], [0, 0, 2, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-    return LinearMapTable(2, Mat.from_rows(QQ, rows))
+    return LinearMapTable(2, Mat.from_rows(QQ, _DUAL_TRANSITIVE_PHI_ROWS))
 
 
 def dual_transitive_8dim(field: Field = QQ):
@@ -313,8 +316,9 @@ def dual_transitive_perp_display(field: Field = QQ) -> MatrixSubspace:
 
 def dual_transitive_theorem_form(field: Field = QQ) -> MatrixSubspace:
     """The same construction in the block order [[A, B], [Phi(B), Phi(A)]]
-    (the general theorem's layout, with the same Phi)."""
-    return _phi_blocks(2, field, dual_transitive_phi().apply)
+    (the general theorem's layout, with the same Phi, over the field)."""
+    phi = LinearMapTable(2, Mat.from_rows(field, _DUAL_TRANSITIVE_PHI_ROWS))
+    return _phi_blocks(2, field, phi.apply)
 
 
 def _phi_blocks(n: int, field: Field, phi) -> MatrixSubspace:

@@ -53,6 +53,18 @@ def test_sep_pinned_witness(capsys):
     assert entries == ["1", "0", "0", "0", "0", "1", "0", "1", "0"]
 
 
+def test_sep_past_the_budget_at_one_prime_still_disproves(capsys):
+    # 31 flags over GF(5) fit a budget of 40, and the violation found there
+    # lifts to Q; sep never exits 2 for its budget
+    code, out, _ = invoke(["sep", "toeplitz:3", "-k", "3", "--budget", "40"],
+                          capsys)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "disproved"
+    assert verdict["evidence"]["ff"] == {
+        "5": {"lifted": True, "points": 31, "violation_mod_p": True}}
+
+
 def test_preann_tensor_prod_power(capsys):
     code, out, _ = invoke(["preann", "toeplitz:3"], capsys)
     assert code == 0 and json.loads(out)["dim"] == 4

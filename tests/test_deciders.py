@@ -1,6 +1,7 @@
 """The decision engine: verdicts, witnesses, and soundness labels."""
 
 import ast
+import hashlib
 import itertools
 import os
 import random
@@ -51,7 +52,8 @@ from translab.families import (
 )
 from translab.fields import GF, QQ
 from translab.matrices import Mat
-from translab.serialize import transitivity_verdict_to_obj, dumps
+from translab.serialize import (dumps, separation_verdict_to_obj,
+                               transitivity_verdict_to_obj)
 from translab.subspace import MatrixSubspace
 
 
@@ -628,18 +630,63 @@ def test_separation_scan_matches_per_flag_reference_at_larger_n(p, m, n,
         assert _separation_scan_ff(L, k) == ref
 
 
+def _sep_digest(v) -> str:
+    return hashlib.sha256(
+        dumps(separation_verdict_to_obj(v)).encode()).hexdigest()
+
+
 def test_separation_budget_checked_per_prime():
-    # denominators 35 make 5 and 7 bad primes; the up-front check passes
-    # (2850 flags over GF(7)) but the fallback prime 11 needs 16226
+    # denominators 35 make 5 and 7 bad primes; the fallback primes 11 and
+    # 13 need 16226 and 31110 flags, past a budget of 2850, so they run
+    # but certify nothing
     f = QQ
     L = MatrixSubspace.from_generators([
         Mat.from_rows(f, [[1, Fraction(1, 35), 0, 0], [0, 0, 1, 0]]),
         Mat.from_rows(f, [[0, 1, 0, 0], [0, 0, 0, Fraction(2, 35)]]),
     ])
     assert modp.gaussian_binomial(4, 2, 7) == 2850
-    assert modp.gaussian_binomial(4, 2, 11) == 16226
-    with pytest.raises(BudgetExceeded, match="GF\\(11\\)"):
-        check_k_separating(L, 3, budget=2850)
+    v = check_k_separating(L, 3, budget=2850)
+    assert v.status == Status.UNKNOWN and v.primes == ()
+    ff = v.evidence["ff"]
+    for p in (5, 7):
+        assert ff[str(p)]["skipped"].startswith("BadPrime: ")
+    assert ff["11"] == {"skipped": "16226 flags over GF(11) exceed the budget"}
+    assert ff["13"] == {"skipped": "31110 flags over GF(13) exceed the budget"}
+    assert ff["certified_primes"] == []
+    assert _sep_digest(v) == ("9dbe79dcc8155e46236413a1faa86889"
+                              "8dbb88de854d74bae5928ae567c6830f")
+
+
+def test_separation_over_own_field_past_the_budget_is_unknown():
+    L = minimal_k_transitive(3, 3, 1, GF(5))
+    v = check_k_separating(L, 2, budget=10)
+    assert v.status == Status.UNKNOWN and v.witness_columns is None
+    assert v.evidence["steps"] == ["enumeration exceeds the budget"]
+    assert _sep_digest(v) == ("91b50c24faef56e9dea2e15ef8916c2e"
+                              "2e073ecdc1503ca97c410422314966e1")
+
+
+def test_separation_with_every_prime_past_the_budget_is_unknown():
+    v = check_k_separating(minimal_k_transitive(3, 3, 1), 2, budget=10)
+    assert v.status == Status.UNKNOWN and v.primes == ()
+    assert v.evidence["ff"] == {
+        "5": {"skipped": "31 flags over GF(5) exceed the budget"},
+        "7": {"skipped": "57 flags over GF(7) exceed the budget"},
+        "certified_primes": []}
+    assert _sep_digest(v) == ("12b468f33fc44986e22767dcae772789"
+                              "eec2c195242e11495fcfae36ba09e856")
+
+
+def test_separation_disproof_within_the_budget_stands():
+    # GF(5) needs 31 flags and finds a violation that lifts to Q before
+    # GF(7), at 57 flags, would exceed the budget
+    v = check_k_separating(toeplitz_space(3), 3, budget=40)
+    assert v.status == Status.DISPROVED
+    assert v.evidence["ff"] == {
+        "5": {"points": 31, "violation_mod_p": True, "lifted": True}}
+    assert _verify_separation_violation(toeplitz_space(3), v.witness_columns)
+    assert _sep_digest(v) == ("a661d58992ac738ea4291c88f3f4d633"
+                              "9472d0365a122a7641ccaa619773c92a")
 
 
 def test_witness_checks_raise_under_optimize():

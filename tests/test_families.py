@@ -1,5 +1,7 @@
 """The concrete family constructors and their claimed properties."""
 
+import hashlib
+
 import pytest
 
 from translab.deciders import (
@@ -35,6 +37,7 @@ from translab.families import (
 )
 from translab.fields import GF, QI, QQ, GaussianRational
 from translab.matrices import Mat
+from translab.serialize import dumps, subspace_to_obj
 from translab.subspace import MatrixSubspace
 
 
@@ -163,6 +166,23 @@ def test_rational_map_table_applies_over_qi():
     assert T == MatrixSubspace.from_generators(
         [Mat.from_rows(QI, B.tolists()) for B in dual_transitive_theorem_form().basis],
         rows=4, cols=4, field=QI)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 25])
+def test_dual_transitive_theorem_form_over_finite_fields(q):
+    # phi is built over the requested field from the same integer rows
+    T = dual_transitive_theorem_form(GF(q))
+    assert T.dim == 8
+    assert T == dual_transitive_theorem_form(QQ).reduce_mod(q)
+
+
+def test_dual_transitive_theorem_form_bytes_over_q_and_qi():
+    digests = {f.tag: hashlib.sha256(dumps(subspace_to_obj(
+        dual_transitive_theorem_form(f))).encode()).hexdigest()
+        for f in (QQ, QI)}
+    assert digests == {
+        "Q": "20ecfde0c452e01776ff099dea75d7431744c22265f47ab58e1f84739c181c48",
+        "Qi": "658ea5881962bec9d1293e1b425aa21e9bd58aae2966857c39023049fa032cdb"}
 
 
 def test_dual_transitive_both_sides_transitive():

@@ -1,6 +1,6 @@
 """Mutation check of the witness re-verifiers, the scans' witness paths,
-the interned finite-field arithmetic, the per-prime reductions and the
-map tables.
+the interned finite-field arithmetic, the per-prime reductions and budget
+rule, and the map tables.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -106,6 +106,13 @@ MUTANTS = [
      "        S.reduce_mod(p)", "        pass",
      [RARE + "test_qi_certification_skips_the_primes_without_a_square_root"
       "_of_minus_one"]),
+    ("output-route-failure-unconfirmed", "deciders.py",
+     '        _require(coeffs is not None, "output-subspace scan")', "        pass",
+     [DECIDERS + "test_output_subspace_failure_must_be_confirmed"]),
+    ("over-budget-prime-certifies", "deciders.py",
+     "            outcome = False", "            outcome = True",
+     [DECIDERS + "test_unknown_when_budget_exhausted",
+      DECIDERS + "test_separation_budget_checked_per_prime"]),
     ("map-table-keeps-rational-zeros", "families.py",
      "        return Mat.from_rows(A.field, [out[i:i + n] for i in range(0, n * n, n)])",
      "        return Mat(A.field, n, n, out)",
