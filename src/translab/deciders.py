@@ -227,12 +227,6 @@ def _check_primes(primes: Sequence[int]) -> None:
         raise ValueError(f"certification primes must be prime, got {bad}")
 
 
-def _subspace_to_int_array(L: MatrixSubspace) -> np.ndarray:
-    if not isinstance(L.field, PrimeFieldDomain):
-        raise ShapeMismatch(f"expected a subspace over GF(p), got {L.field.tag}")
-    return _scan_codes(L)[0]
-
-
 def _codes(f: Field, entries) -> tuple:
     """(codes, omega) for modp's scans over a finite field f: the entries
     as a flat array of indices into f.elements(), and f's omega over
@@ -348,7 +342,7 @@ def definitional_k_transitive_ff(L: MatrixSubspace, k: int,
         # every input subspace fails; the first is spanned by e_1, ..., e_k
         return False, Mat(f, n, k, [f.one() if i == j else f.zero()
                                     for i in range(n) for j in range(k)]), 0
-    basis = _subspace_to_int_array(L)
+    basis = _scan_codes(L)[0]
     ok, failure, pts = modp.surjectivity_scan(basis, k, q)
     if ok:
         return True, None, pts
@@ -697,7 +691,7 @@ def _low_rank_over_own_field(f, L, own, perp, k, budget, info):
         # L is k-transitive iff L^T is: (L^T)^perp = (L^perp)^T, and
         # transposing keeps every rank
         ok, _X, info["points"] = modp.surjectivity_scan(
-            _subspace_to_int_array(own()).transpose(0, 2, 1), k, q)
+            _scan_codes(own())[0].transpose(0, 2, 1), k, q)
         if ok:
             return None, None
         info["witness_route"], points = route, "witness_points"
@@ -900,6 +894,9 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
         return pts
 
     if L.field.is_finite:
+        if not isinstance(L.field, PrimeFieldDomain):
+            raise ShapeMismatch("the separation scan needs GF(p)")
+
         def decide():
             ev["points"] = flags(L.field.size)
             bad = _separation_scan_ff(L, k)
@@ -944,16 +941,14 @@ def check_k_separating(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 
 def _separation_scan_ff(L: MatrixSubspace, k: int) -> Optional[Mat]:
     """First violating flag (x_1 .. x_k as an n x k matrix) over the
-    subspace's own finite field, in the documented enumeration order;
+    subspace's own field GF(p), in the documented enumeration order;
     None when L is k-separating over that field.
 
     modp.separation_scan finds the flag; exact elimination then confirms
     it and builds the final column of the witness."""
     f = L.field
     n = L.cols
-    if not isinstance(f, PrimeFieldDomain):
-        raise ShapeMismatch("the separation scan needs GF(p)")
-    rep = modp.separation_scan(_subspace_to_int_array(L), k, f.size)
+    rep = modp.separation_scan(_scan_codes(L)[0], k, f.size)
     if rep is None:
         return None
     Vrows = [_from_codes(f, row) for row in rep]

@@ -166,11 +166,9 @@ def hankel_space(n: int, field: Field = QQ) -> MatrixSubspace:
     """All n x n matrices constant along anti-diagonals; dimension 2n - 1."""
     if n < 1:
         raise ParameterOutOfRange("hankel_space needs n >= 1")
-    gens = []
-    for s in range(2 * n - 1):
-        gens.append(Mat(field, n, n,
-                        [field.one() if i + j == s else field.zero()
-                         for i in range(n) for j in range(n)]))
+    gens = [_sparse(field, n, n, {(i, s - i): field.one() for i in range(n)
+                                  if 0 <= s - i < n})
+            for s in range(2 * n - 1)]
     return MatrixSubspace.from_generators(gens, rows=n, cols=n, field=field)
 
 

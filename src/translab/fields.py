@@ -43,6 +43,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
+from .errors import BadPrime
+
 __all__ = [
     "Field",
     "RationalField",
@@ -544,6 +546,17 @@ class PrimeFieldDomain(Field):
     def elements(self):
         return list(self.interned or (FpElement(v, self.p) for v in range(self.p)))
 
+    def sqrt_of_minus_one(self) -> FpElement:
+        """The smaller square root of -1 mod p, BadPrime when p = 3 mod 4.
+        For p = 1 mod 4 and z the smallest non-residue, z^((p-1)/4) squares
+        to z^((p-1)/2) = -1."""
+        p = self.p
+        if p % 4 == 3:
+            raise BadPrime(
+                f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
+        r = pow(_smallest_nonresidue(p), (p - 1) // 4, p) if p > 2 else 1
+        return _fp(min(r, p - r), p)
+
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p
 
@@ -614,48 +627,17 @@ class QuadExtDomain(Field):
         """A deterministic square root of -1 in GF(p^2)."""
         p = self.p
         if p % 4 == 1:
-            r = _sqrt_mod_p(p - 1, p)
-            return _fp2(r, 0, p, self.omega)
+            return self.from_int(_gf(p, 1).sqrt_of_minus_one().value)
         # p = 3 mod 4: -1 is a non-residue mod p, so -1/omega is a residue
         # and (b*w)^2 = b^2*omega = -1 has a solution b mod p.
-        b = _sqrt_mod_p((-pow(self.omega, p - 2, p)) % p, p)
-        return _fp2(0, b, p, self.omega)
+        b = pow(-pow(self.omega, p - 2, p) % p, (p + 1) // 4, p)
+        return _fp2(0, min(b, p - b), p, self.omega)
 
     def __eq__(self, other):
         return isinstance(other, QuadExtDomain) and other.p == self.p
 
     def __hash__(self):
         return hash(("GF2", self.p))
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Smallest square root of a mod p (a must be a residue)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        # Tonelli-Shanks
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = _smallest_nonresidue(p)
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-                if i == m:
-                    raise ValueError(f"{a} is not a residue mod {p}")
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    if r * r % p != a:
-        raise ValueError(f"{a} is not a residue mod {p}")
-    return min(r, p - r)
 
 
 QQ = RationalField()

@@ -29,7 +29,6 @@ from .fields import (
     QQ,
     Field,
     GaussianRational,
-    PrimeFieldDomain,
     Scalar,
     conjugate,
 )
@@ -473,37 +472,22 @@ def reduce_mod(A: Mat, q: int) -> Mat:
     """Entrywise reduction of a matrix over Q or Q(i) into GF(q).
 
     q must be a prime or the square of an odd prime.  Rationals reduce by
-    a/b -> a * b^-1 mod p; Q(i) reduces into GF(p) when -1 is a square mod p
-    (using the smaller of the two roots) and into GF(p^2) otherwise.
-    Raises BadPrime when a reduced denominator is divisible by p, or when
-    the requested target cannot host i.
+    a/b -> a * b^-1 mod p; a + b i reduces to a + b * i_q, where i_q is
+    GF(q).sqrt_of_minus_one().  Raises BadPrime when GF(q) has no square
+    root of -1 (Q(i) into GF(p), p = 3 mod 4; checked first) or when a
+    reduced denominator is divisible by p.
     """
     target = GF(q)
     p = target.characteristic
     if A.field == QQ:
-        red = [_red_frac(x, p) for x in A.entries()]
+        red = [target.from_int(_red_frac(x, p)) for x in A.entries()]
     elif A.field == QI:
-        if isinstance(target, PrimeFieldDomain):
-            if p == 2:
-                ival = 1  # 1*1 = 1 = -1 mod 2
-            elif p % 4 == 1:
-                from .fields import _sqrt_mod_p
-
-                ival = _sqrt_mod_p(p - 1, p)
-            else:
-                raise BadPrime(
-                    f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
-            red = [_red_frac(x.re, p) + ival * _red_frac(x.im, p)
-                   for x in A.entries()]
-        else:
-            ival2 = target.sqrt_of_minus_one()
-            return Mat(target, A.rows, A.cols,
-                       [target.from_int(_red_frac(x.re, p))
-                        + ival2 * target.from_int(_red_frac(x.im, p))
-                        for x in A.entries()])
+        i = target.sqrt_of_minus_one()
+        red = [target.from_int(_red_frac(x.re, p))
+               + i * target.from_int(_red_frac(x.im, p)) for x in A.entries()]
     else:
         raise ShapeMismatch(f"reduce_mod expects a matrix over Q or Qi, got {A.field.tag}")
-    return Mat(target, A.rows, A.cols, [target.from_int(r) for r in red])
+    return Mat(target, A.rows, A.cols, red)
 
 
 def _red_frac(x: Fraction, p: int) -> int:

@@ -529,14 +529,6 @@ def _ranked_joined(basis: np.ndarray, q: int, chunk: int,
         yield codes, ends, tiles(coords)
 
 
-def _ranked_blocks(basis: np.ndarray, q: int, chunk: int,
-                   omega: int | None):
-    """The (block, tiles) pairs of _ranked_joined, for scans that visit
-    every point."""
-    for codes, _, tiles in _ranked_joined(basis, q, chunk, omega):
-        yield codes, tiles
-
-
 def min_rank_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
                   threshold: int | None = None, omega: int | None = None):
     """Scan all projective combinations of the basis matrices.
@@ -899,8 +891,8 @@ def rank_extremes_scan(basis: np.ndarray, q: int, chunk: int = DEFAULT_CHUNK,
         raise ValueError("rank extremes need a square ambient")
     r = r_coeffs = s = s_coeffs = None
     points = 0
-    for block, tiles in _ranked_blocks(basis, q, chunk, omega):
-        points += len(block)
+    for block, ends, tiles in _ranked_joined(basis, q, chunk, omega):
+        points = ends[-1]
         for lo, ranks in tiles:
             local_min = int(ranks.min())
             if r is None or local_min < r:

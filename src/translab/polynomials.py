@@ -14,7 +14,7 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .fields import Field, GaussianRational, QI, QQ
-from .matrices import Mat
+from .matrices import Mat, _pivot_steps
 
 __all__ = [
     "poly_trim",
@@ -338,32 +338,19 @@ def quotient_kernel(rows: list, modulus, field: Field) -> list:
     def red(p):
         return poly_divmod(poly_trim(p), modulus)[1]
 
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     M = [[red(e) for e in row] for row in rows]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
+    for r, c, _ in _pivot_steps(M, ncols):
         inv = quotient_inverse(M[r][c], modulus)
         M[r] = [red(poly_mul(inv, e)) for e in M[r]]
-        for i in range(nrows):
+        for i in range(len(M)):
             if i == r or not M[i][c]:
                 continue
             f = M[i][c]
             M[i] = [red(poly_sub(e, poly_mul(f, pe)))
                     for e, pe in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
     one = (field.one(),)
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]

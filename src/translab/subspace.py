@@ -227,23 +227,10 @@ class MatrixSubspace:
     __add__ = sum
 
     def intersect(self, other: "MatrixSubspace") -> "MatrixSubspace":
+        """By duality: (X^perp + Y^perp)^perp = X meet Y for the
+        non-degenerate trace pairing, with its unique canonical basis."""
         self._check_same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return MatrixSubspace.zero_space(self.field, self.rows, self.cols)
-        d1, d2 = self.dim, other.dim
-        N = self.ambient_dim
-        # columns: coefficients (a | b) with a.CL - b.CM = 0
-        entries = []
-        for pos in range(N):
-            row = [vec(B)[pos] for B in self.basis]
-            row += [-vec(B)[pos] for B in other.basis]
-            entries.extend(row)
-        M = Mat(self.field, N, d1 + d2, entries)
-        gens = []
-        for kv in M.kernel():
-            gens.append(self.element(kv[:d1]))
-        return MatrixSubspace.from_generators(
-            gens, rows=self.rows, cols=self.cols, field=self.field)
+        return self.preannihilator().sum(other.preannihilator()).preannihilator()
 
     def preannihilator(self) -> "MatrixSubspace":
         """All T in Mat(cols, rows) with Tr(A @ T) = 0 for every A here.
@@ -437,8 +424,10 @@ class MatrixSubspace:
         The canonical basis has unit pivots and zeros elsewhere in its pivot
         columns, so its reduction is already in reduced row echelon form
         over GF(q) with the same pivots: it is the canonical basis of the
-        reduced space, of the same dimension (raises BadPrime when a
-        denominator collides with the characteristic).
+        reduced space, of the same dimension.  Over Q(i), i goes to
+        GF(q).sqrt_of_minus_one() (see matrices.reduce_mod); raises BadPrime
+        when GF(q) has none or a denominator collides with the
+        characteristic.
         """
         if self.field.is_finite:
             raise ShapeMismatch(

@@ -1,12 +1,14 @@
 """The command-line front end: flows, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from translab.cli import run
+from translab.families import random_subspace
 from translab.fields import GF
 from translab.matrices import Mat
 from translab.serialize import dumps, subspace_to_obj
@@ -244,6 +246,17 @@ def test_check_gf9_disproof_mid_block(tmp_path, capsys):
     code, out, _ = invoke(["check", str(path), "-k", "1"], capsys)
     assert code == 0
     assert out == _GF9_DISPROOF
+
+
+def test_sep_over_gf9_exits_one_at_every_budget(tmp_path, capsys):
+    path = tmp_path / "gf9.json"
+    path.write_text(dumps(subspace_to_obj(
+        random_subspace(random.Random(9), GF(9), 4, 3, 3, 1))))
+    for budget in ("10", "60", "100000000"):
+        code, out, err = invoke(["sep", str(path), "-k", "2",
+                                 "--budget", budget], capsys)
+        assert code == 1 and out == ""
+        assert "the separation scan needs GF(p)" in err
 
 
 def test_non_prime_certification_prime_is_usage_error(capsys):

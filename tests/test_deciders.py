@@ -689,6 +689,16 @@ def test_separation_disproof_within_the_budget_stands():
                               "9472d0365a122a7641ccaa619773c92a")
 
 
+def test_separation_over_gf9_is_refused_at_every_budget():
+    # the field is checked before the flags are counted (91 here), so the
+    # refusal does not depend on the budget
+    L = random_subspace(random.Random(9), GF(9), 4, 3, 3, 1)
+    for budget in (10, 60, 10**8):
+        with pytest.raises(ShapeMismatch) as exc:
+            check_k_separating(L, 2, budget=budget)
+        assert str(exc.value) == "the separation scan needs GF(p)"
+
+
 def test_witness_checks_raise_under_optimize():
     # soundness must not depend on assert: with verification broken, -O
     # still refuses to report a disproof

@@ -102,6 +102,30 @@ def test_sqrt_of_minus_one():
         assert i * i == f.from_int(-1)
 
 
+def test_prime_field_sqrt_of_minus_one():
+    assert GF(2).sqrt_of_minus_one() == GF(2).one()
+    for p in range(5, 100, 4):
+        if is_prime(p):
+            r = GF(p).sqrt_of_minus_one()
+            assert r * r == GF(p).from_int(-1) and r.value <= p // 2, p
+    for p in (3, 7, 11):
+        with pytest.raises(BadPrime) as exc:
+            GF(p).sqrt_of_minus_one()
+        assert str(exc.value) == (
+            f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
+
+
+def test_quadratic_extension_sqrt_of_minus_one_is_pinned():
+    pinned = {9: "0+1w", 25: "2+0w", 49: "0+3w", 121: "0+4w", 169: "5+0w",
+              289: "4+0w", 361: "0+3w", 529: "0+3w", 841: "12+0w",
+              961: "0+14w"}
+    for q, text in pinned.items():
+        f = GF(q)
+        i = f.sqrt_of_minus_one()
+        assert f.format(i) == f"{text} mod {f.p}^2"
+        assert i * i == f.from_int(-1)
+
+
 def test_gf_constructor_validation():
     with pytest.raises(ValueError):
         GF(6)

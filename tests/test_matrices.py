@@ -210,6 +210,62 @@ def test_reduce_mod_gaussian():
         reduce_mod(z, 7)  # -1 is not a square mod 7
 
 
+def _reduce_gaussian_reference(A, p, deg):
+    """Q(i) into GF(p^deg) on plain integers: i goes to the smaller root
+    r of -1 mod p, or over GF(p^2) = GF(p)[w], w^2 = omega, when there is
+    none, to r w with r the smaller root of r^2 omega = -1.  Entries come
+    back as (a, b) pairs for a + b w, b = 0 over GF(p)."""
+    roots = [r for r in range(1, p) if r * r % p == (p - 1) % p]
+    if roots:
+        i = (roots[0], 0)
+    elif deg == 1:
+        raise BadPrime(
+            f"-1 is not a square mod {p}; reduce into GF({p}^2) instead")
+    else:
+        omega = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        i = (0, next(r for r in range(1, p) if r * r * omega % p == p - 1))
+
+    def red(x):
+        if x.denominator % p == 0:
+            raise BadPrime(f"denominator of {x} is divisible by {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    out = []
+    for z in A.entries():
+        a, b = red(z.re), red(z.im)
+        out.append(((a + b * i[0]) % p, b * i[1] % p))
+    return out
+
+
+def test_reduce_mod_gaussian_matches_integer_reference():
+    rng = random.Random(5)
+    targets = ([(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 29, 37, 41)]
+               + [(p, 2) for p in (3, 5, 7, 11, 13, 17)])
+    raised = reduced = 0
+    for _ in range(40):
+        dens = rng.sample([1, 2, 3, 5, 7, 13], rng.randint(1, 3))
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        A = Mat(QI, m, n, [GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.choice(dens)),
+            Fraction(rng.randint(-4, 4), rng.choice(dens)))
+            for _ in range(m * n)])
+        for p, deg in targets:
+            try:
+                want = _reduce_gaussian_reference(A, p, deg)
+            except BadPrime as exc:
+                with pytest.raises(BadPrime) as got:
+                    reduce_mod(A, p ** deg)
+                assert str(got.value) == str(exc), (A, p, deg)
+                raised += 1
+                continue
+            got = reduce_mod(A, p ** deg)
+            assert got.field == GF(p ** deg) and got.shape == A.shape
+            assert [(x.value, 0) if deg == 1 else (x.a, x.b)
+                    for x in got.entries()] == want, (A, p, deg)
+            reduced += 1
+    assert raised and reduced
+
+
 def test_reduce_mod_rank_preservation():
     # for primes large relative to the entries, the reduction preserves rank
     rng = random.Random(77)

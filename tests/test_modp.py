@@ -540,8 +540,8 @@ def test_scan_products_are_exact():
         modp.batched_rank_mod_p = spy
         try:
             blocks = [(codes[lo:lo + len(ranks)].copy(), seen[-1])
-                      for codes, tiles in
-                      modp._ranked_blocks(basis, q, 16, omega)
+                      for codes, _, tiles in
+                      modp._ranked_joined(basis, q, 16, omega)
                       for lo, ranks in tiles]
         finally:
             modp.batched_rank_mod_p = real
@@ -607,11 +607,11 @@ def test_phi_block_scans_rank_in_tiles():
     # traced allocations each, against 12 MiB with whole blocks
     import tracemalloc
 
-    from translab.deciders import _subspace_to_int_array
+    from translab.deciders import _scan_codes
     from translab.families import phi_block_space
 
     PB = phi_block_space(4, 1)
-    bases = [_subspace_to_int_array(L.reduce_mod(5))
+    bases = [_scan_codes(L.reduce_mod(5))[0]
              for L in (PB, PB.preannihilator())]
     # fill the per-prime tables and import the sketch's generator first
     surjectivity_scan(bases[0], 1, 5)

@@ -196,6 +196,65 @@ def test_modular_dimension_law():
             assert L.contains(B) and M.contains(B)
 
 
+def _intersect_reference(L, M):
+    """L meet M from the kernel of [vec(L_i) | -vec(M_j)]: each kernel
+    vector (a | b) gives the element sum a_i L_i = sum b_j M_j."""
+    if L.is_zero() or M.is_zero():
+        return MatrixSubspace.zero_space(L.field, L.rows, L.cols)
+    entries = []
+    for pos in range(L.ambient_dim):
+        entries += [vec(B)[pos] for B in L.basis]
+        entries += [-vec(B)[pos] for B in M.basis]
+    K = Mat(L.field, L.ambient_dim, L.dim + M.dim, entries)
+    return MatrixSubspace.from_generators(
+        [L.element(kv[:L.dim]) for kv in K.kernel()],
+        rows=L.rows, cols=L.cols, field=L.field)
+
+
+def _complement(L):
+    """The span of the unit matrices off L's leading positions."""
+    lead = {next(t for t, x in enumerate(vec(B)) if x) for B in L.basis}
+    return MatrixSubspace.from_generators(
+        [Mat.unit(L.field, L.rows, L.cols, t // L.cols, t % L.cols)
+         for t in range(L.ambient_dim) if t not in lead],
+        rows=L.rows, cols=L.cols, field=L.field)
+
+
+def test_intersect_matches_kernel_reference():
+    rng = random.Random(11)
+    for field in (GF(3), GF(9), QQ, QI):
+        if field == QI:
+            def entry():
+                return GaussianRational(Fraction(rng.randint(-2, 2),
+                                                 rng.randint(1, 3)),
+                                        rng.randint(-2, 2))
+        elif field == QQ:
+            def entry():
+                return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        else:
+            def entry():
+                return rng.choice(field.elements())
+
+        def space(m, n):
+            return MatrixSubspace.from_generators(
+                [Mat(field, m, n, [entry() for _ in range(m * n)])
+                 for _ in range(rng.randint(0, m * n))],
+                rows=m, cols=n, field=field)
+
+        for m, n in ((2, 2), (2, 3), (3, 2)):
+            N = m * n
+            for _ in range(4):
+                L, M = space(m, n), space(m, n)
+                Z = MatrixSubspace.zero_space(field, m, n)
+                C = _complement(L)
+                assert C.dim == N - L.dim and L.sum(C).is_full()
+                for A, B in ((L, M), (M, L), (L, L), (L, Z), (Z, L), (L, C),
+                             (C, L), (L, MatrixSubspace.full_space(field, m, n))):
+                    got, want = A.intersect(B), _intersect_reference(A, B)
+                    assert got == want and got._pivots == want._pivots
+                assert L.intersect(C).is_zero() and L.intersect(L) == L
+
+
 # ------------------------------------------------------------------ tensor
 
 def test_tensor_examples():

@@ -1,6 +1,7 @@
 """Mutation check of the witness re-verifiers, the scans' witness paths,
 the interned finite-field arithmetic, the per-prime reductions and budget
-rule, and the map tables.
+rule, the map tables, the square root of -1, intersection by duality and
+the field check of separation.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -35,6 +36,8 @@ FIELDS = "tests/test_fields.py::"
 FF_ORACLE = "tests/test_ff_oracle.py::"
 RARE = "tests/test_rare_paths.py::"
 FAMILIES = "tests/test_families.py::"
+SUBSPACE = "tests/test_subspace.py::"
+CLI = "tests/test_cli.py::"
 
 # (name, module, line, replacement, tests that must each fail)
 MUTANTS = [
@@ -117,6 +120,21 @@ MUTANTS = [
      "        return Mat.from_rows(A.field, [out[i:i + n] for i in range(0, n * n, n)])",
      "        return Mat(A.field, n, n, out)",
      [FAMILIES + "test_rational_map_table_applies_over_qi"]),
+    ("sqrt-of-minus-one-takes-larger-root", "fields.py",
+     "        return _fp(min(r, p - r), p)", "        return _fp(max(r, p - r), p)",
+     [FIELDS + "test_prime_field_sqrt_of_minus_one",
+      FIELDS + "test_quadratic_extension_sqrt_of_minus_one_is_pinned",
+      MATRICES + "test_reduce_mod_gaussian_matches_integer_reference"]),
+    ("intersect-returns-sum", "subspace.py",
+     "        return self.preannihilator().sum(other.preannihilator()).preannihilator()",
+     "        return self.sum(other)",
+     [SUBSPACE + "test_intersect_matches_kernel_reference",
+      SUBSPACE + "test_modular_dimension_law"]),
+    ("separation-skips-field-check", "deciders.py",
+     '            raise ShapeMismatch("the separation scan needs GF(p)")',
+     "            pass",
+     [DECIDERS + "test_separation_over_gf9_is_refused_at_every_budget",
+      CLI + "test_sep_over_gf9_exits_one_at_every_budget"]),
 ]
 
 
