@@ -21,11 +21,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ParameterOutOfRange, ShapeMismatch, VerificationFailed
 from .fields import Field, QQ
-from .matrices import Mat, _matvec
+from .matrices import Mat, _eliminate_q, _matvec
 from .polynomials import (
     charpoly,
     factor_over_rationals,
@@ -397,16 +398,36 @@ def _random_subspace_of(rng, N: MatrixSubspace, d: int,
 
 
 def _min_sample_rank(rng, L: MatrixSubspace, samples: int) -> int:
-    best = None
-    for B in L.basis:
-        r = B.rank()
-        best = r if best is None else min(best, r)
+    """The least rank among L's basis matrices and `samples` combinations
+    of them with coefficients drawn by rng.randint(-2, 2), a draw of all
+    zeros in L's field skipped.  Over Q every matrix is ranked on
+    integers: the basis times the lcm of its denominators, which changes no
+    rank, combined and ranked by _eliminate_q's forward pass."""
+    m, n = L.rows, L.cols
+    nonzero = any
+    if L.field == QQ:
+        den = lcm(*(x.denominator for B in L.basis for x in B.entries()))
+        mats = [[x.numerator * (den // x.denominator) for x in B.entries()]
+                for B in L.basis]
+
+        def rank(e):
+            rows = [e[i:i + n] for i in range(0, m * n, n)]
+            return len(_eliminate_q(rows, full=False)[1])
+    else:
+        mats = [B.entries() for B in L.basis]
+
+        def nonzero(coeffs):
+            return any(map(L.field.from_int, coeffs))
+
+        def rank(e):
+            return Mat(L.field, m, n, e).rank()
+    best = min(map(rank, mats), default=None)
     for _ in range(samples):
-        coeffs = [L.field.from_int(rng.randint(-2, 2)) for _ in range(L.dim)]
-        if not any(coeffs):
-            continue
-        r = L.element(coeffs).rank()
-        best = r if best is None else min(best, r)
+        coeffs = [rng.randint(-2, 2) for _ in range(L.dim)]
+        if nonzero(coeffs):
+            terms = [(c, B) for c, B in zip(coeffs, mats) if c]
+            best = min(best, rank([sum(c * B[i] for c, B in terms)
+                                   for i in range(m * n)]))
     return best
 
 

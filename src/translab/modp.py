@@ -31,13 +31,30 @@ int8 for p = 5 up to 30 columns and for p = 7 up to 13, int16, int32 or
 int64 beyond, and a ValueError past int64.
 
 The definitional scan ranks compressed matrices first.  Each of its
-matrices M has D rows and t = m k columns, so rank M <= t even when D is
-much larger.  For a fixed (t + s) x D matrix S over GF(q),
-rank(S M) <= rank M, so every M whose compressed copy S M has rank t has
-rank t; only the others are ranked again on their D rows.  The
-oversampling s = s(q) is the least s >= 1 with q^(s+1) >= 2^10, which
-leaves about q^-(s+1) of the full-rank points to re-rank.  S only decides
-how much work is repeated, never the answer.
+matrices M has D rows, row d holding A_d X, and t = m k columns, so
+rank M <= t even when D is much larger.  For any matrix C with D
+columns, rank(C M) <= rank M, so every M whose compressed copy C M has
+rank t has rank t; only the others are ranked again on their D rows.
+C is S K.  The rows of K span the left kernel of the unit columns
+U = [A_d e_t] of the last j coordinates t: they are the coefficients of
+the elements of L whose last j columns vanish, so K M depends only on
+the first n - j columns of X.  A group, a maximal run of consecutive
+representatives of a block that agree on those columns, has one K M, so
+one probe of rank t certifies the whole group, and the members of a
+group whose probe fails are the candidates.  In the lex order the last
+j coordinates of the last row vary fastest, so a group holds q^j points
+or more, unless a block boundary cuts it, and then each part is probed.
+A tail representative, whose last row has its pivot among the last j
+coordinates, has zero as the last m columns of K M, so it is a
+candidate without a probe.  S is a fixed (t + s) x h matrix over the h
+rows of K, applied only when h > t + s; the oversampling s = s(q) is the
+least s >= 1 with q^(s+1) >= 2^10, which leaves about q^-(s+1) of the
+full-rank probes to re-rank.  j comes from the shapes alone: the largest
+j <= n - k with D - j m >= t + s, or 0 when there is none, so that K
+keeps h >= D - j m >= t + s rows.  At j = 0, K is the identity, each
+group is one point, and the scan is the plain sketch: C is S when
+D > t + s and absent otherwise.  C only decides how much work is
+repeated, never the answer.
 
 The definitional scan also shares elimination between its points.
 Consecutive representatives X share their first k - 1 rows P and differ
@@ -388,7 +405,9 @@ def _rref_piece(n: int, q: int, pivots: tuple, free: list, start: int,
                 cnt: int) -> np.ndarray:
     arr = np.zeros((cnt, len(pivots), n), dtype=np.int32)
     arr[:, range(len(pivots)), list(pivots)] = 1
-    idx = np.arange(start, start + cnt, dtype=np.int64)
+    # int32 arithmetic where the indices fit: about twice as fast
+    idx = np.arange(start, start + cnt,
+                    dtype=np.int32 if start + cnt < 1 << 31 else np.int64)
     for r, c in reversed(free):
         arr[:, r, c] = idx % q
         idx //= q
@@ -590,6 +609,32 @@ def _sketch(rows: int, D: int, q: int) -> np.ndarray:
                      for _ in range(rows)], dtype=np.int64)
 
 
+def _left_kernel(U: np.ndarray, q: int) -> np.ndarray:
+    """Rows spanning the left kernel of the (R, C) integer matrix U over
+    GF(q), q prime, as balanced residues.  One _eliminate of [U | I_R]
+    over its first C columns leaves zero on the pivot rows and, on each
+    other row, a combination of the rows of U that vanishes, read off the
+    last R columns (see _eliminate)."""
+    R, C = U.shape
+    mats = np.concatenate([U.T % q, np.eye(R, dtype=np.int64)])
+    comb = _reduce(_eliminate(mats[:, :, None], C, q, q - 1)[1][C:, :, 0], q)
+    return comb.T[comb.any(axis=0)]
+
+
+def _groups(block: np.ndarray, cut: int) -> tuple:
+    """(starts, tail) for the groups of a block of representatives: the
+    maximal runs of consecutive points equal on their first cut columns.
+    starts[g] is the first point of group g, and tail[g] says that its
+    last row is zero on those columns."""
+    shift = np.zeros(len(block) - 1, dtype=bool)
+    # one column at a time: several times faster than an any() over
+    # the short trailing axes
+    for col in block[:, :, :cut].reshape(len(block), -1).T:
+        shift |= col[1:] != col[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(shift) + 1))
+    return starts, ~block[starts, -1, :cut].any(axis=1)
+
+
 def _input_products(block: np.ndarray, W: np.ndarray, m: int, q: int,
                     unit: np.ndarray | None = None) -> np.ndarray:
     """(m k + len(unit), R, B) batch in the kernel's layout over (B, k, n)
@@ -756,6 +801,34 @@ def _input_ranks(block: np.ndarray, W: np.ndarray, m: int,
     return tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
 
 
+def _candidates(block: np.ndarray, probe: np.ndarray, m: int, q: int,
+                cut: int, target: int) -> Iterator[np.ndarray]:
+    """The points of a block that the probes leave uncertified, in
+    ascending order, one array per tile of probes.
+
+    probe holds the compressed basis C A (see _basis_rows), blind to the
+    columns from cut on.  Below n, each group of _groups(block, cut) is
+    probed once, on its first point, and a failing probe makes every
+    member a candidate; a tail group is a candidate whole, unprobed.  The
+    arrays together cover the block.  At cut = n every point is probed."""
+    if cut == block.shape[2]:
+        for lo, ranks in _input_tiles(block, probe, m, q):
+            yield lo + np.flatnonzero(ranks < target)
+        return
+    starts, tail = _groups(block, cut)
+    sizes = np.diff(starts, append=len(block))
+    probed = np.flatnonzero(~tail)
+    g0 = 0
+    for lo, ranks in _input_tiles(block[starts[probed]], probe, m, q):
+        hi = lo + len(ranks)
+        # this tile settles the groups up to the next probed one
+        g1 = int(probed[hi]) if hi < len(probed) else len(starts)
+        fails = np.ones(g1 - g0, dtype=bool)
+        fails[probed[lo:hi] - g0] = ranks < target
+        yield starts[g0] + np.flatnonzero(np.repeat(fails, sizes[g0:g1]))
+        g0 = g1
+
+
 def surjectivity_scan(basis: np.ndarray, k: int, q: int,
                       chunk: int = DEFAULT_CHUNK):
     """Definitional k-transitivity scan over GF(q), q prime.
@@ -765,24 +838,26 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     checks that A -> A @ X maps L onto Mat(m, k), i.e. the stacked
     (D, m*k) coefficient matrix M has full rank t = m*k.
 
-    Blocks are ranked tile by tile, in enumeration order (see the module
-    docstring and _input_tiles), and the first tile holding a failure
-    ends the scan.  When D > t + s(q) (see _oversampling), each tile is
-    first ranked on the t + s(q) rows of S M, for the fixed S of _sketch,
-    by applying the compressed basis S A once formed.
-    rank(S M) <= rank M <= t, so a point whose compressed rank is t
-    passes; the tile's other points are the candidates, ranked again on
-    their full D-row products, and the first candidate whose full rank is
-    below t is the tile's first failure.  The result is therefore the
-    same for every S.
+    Blocks are probed tile by tile, in enumeration order (see the module
+    docstring and _input_tiles), and the first tile of probes that leaves
+    a failure ends the scan.  With j >= 1 blind columns, or when
+    D > t + s(q) (see _oversampling), the probes are ranks of C M for the
+    compression C = S K of the module docstring, formed once as the
+    compressed basis C A.  rank(C M) <= rank M <= t, so a probe of rank t
+    certifies its group; the candidates (see _candidates) are ranked
+    again on their full D-row products, and the first candidate whose
+    full rank is below t is the tile's first failure.  The result is
+    therefore the same for every C.  Otherwise there is no C and the
+    probes are the ranks themselves.
 
     Both rankings eliminate the first k - 1 rows of each run of
     representatives once and rank only the m-column remainder Q M2 of
     each point (rank M = rank M1 + rank Q M2, Q spanning the left kernel
-    of M1) where that saves work.  Every point gets its own rank, so
-    points, candidates and the first failure are those of ranking each M
-    directly, whatever the blocks and tiles; points counts every point of
-    the pieces up to the one holding the first failure.
+    of M1) where that saves work.  Every point is certified by a rank of
+    its own M or of a C M equal to its own, so points, candidates and the
+    first failure are those of ranking each M directly, whatever the
+    blocks and tiles; points counts every point of the pieces up to the
+    one holding the first failure.
 
     Returns (ok, first_failure, points): first_failure is the (n, k) input
     matrix (columns are the representative rows) of the first failing
@@ -793,12 +868,21 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     target = m * k
     full = _basis_rows(basis, q)
     rows = target + _oversampling(q)
-    sketched = D > rows
+    # blind to the last j columns, keeping at least rows rows in K
+    j = max(0, min(n - k, (D - rows) // m))
+    compress = None
+    if j:
+        compress = _left_kernel(basis[:, :, n - j:].reshape(D, m * j), q)
+    height = D if compress is None else len(compress)
+    if height > rows:
+        sketch = _sketch(rows, height, q)
+        compress = (sketch if compress is None
+                    else _mod_matmul(sketch, compress, q))
     probe = full
-    if sketched:
+    if compress is not None:
         flat = basis.reshape(D, m * n) % q
         probe = _basis_rows(
-            _mod_matmul(_sketch(rows, D, q), flat, q).reshape(rows, m, n), q)
+            _mod_matmul(compress, flat, q).reshape(-1, m, n), q)
     # pieces joined into one block take the direct route, as each of them
     # does alone: their saving stays below _PREFIX_MIN_SAVING
     per = _prefix_saving(probe, m, k)
@@ -806,13 +890,11 @@ def surjectivity_scan(basis: np.ndarray, k: int, q: int,
     pieces = _rref_pieces(n, k, q, chunk, "lex")
     for block, ends in _blocks(pieces, len(probe) * k, most):
         points = ends[-1]
-        for lo, ranks in _input_tiles(block, probe, m, q):
-            bad = np.flatnonzero(ranks < target)
-            if sketched and bad.size:
-                cand = block[lo:lo + len(ranks)][bad]
-                bad = bad[_input_ranks(cand, full, m, q) < target]
+        for bad in _candidates(block, probe, m, q, n - j, target):
+            if compress is not None and bad.size:
+                bad = bad[_input_ranks(block[bad], full, m, q) < target]
             if bad.size:
-                i = lo + int(bad[0])
+                i = int(bad[0])
                 return False, block[i].T.copy(), _through(ends, block, i)
     return True, None, points
 

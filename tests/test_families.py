@@ -228,6 +228,42 @@ def test_phi_block_structure():
     assert PB.contains(gen)
 
 
+def _min_sample_rank_reference(rng, L, samples):
+    """The element-by-element loop: every basis matrix, then each draw's
+    combination built with L.element and ranked by Mat.rank."""
+    best = min(B.rank() for B in L.basis)
+    for _ in range(samples):
+        coeffs = [L.field.from_int(rng.randint(-2, 2)) for _ in range(L.dim)]
+        if any(coeffs):
+            best = min(best, L.element(coeffs).rank())
+    return best
+
+
+def test_min_sample_rank_matches_the_element_loop():
+    # the integer ranks over Q, and the entry sums over the other fields,
+    # give the loop's minimum and draw the same rng.randint values; over
+    # GF(2) a draw of only +-2 and 0 is zero and skipped
+    import random
+
+    from translab.families import _min_sample_rank, random_subspace
+
+    denominators = set()
+    for field in (QQ, QI, GF(2), GF(5), GF(9)):
+        for seed in range(6):
+            m, n = 2 + seed % 3, 2 + seed % 2
+            gen = random.Random(seed)
+            L = random_subspace(gen, field, 1 + seed % (m * n - 1), m, n, 3)
+            if field == QQ:
+                denominators.update(x.denominator for B in L.basis
+                                    for x in B.entries())
+            got, want = random.Random(seed), random.Random(seed)
+            assert (_min_sample_rank(got, L, 12)
+                    == _min_sample_rank_reference(want, L, 12)), (field, seed)
+            assert got.random() == want.random()
+    # canonical bases over Q with fractions exercise the common multiple
+    assert max(denominators) > 1
+
+
 def test_phi_block_rank_dichotomy_sampled():
     import random
 

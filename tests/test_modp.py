@@ -284,6 +284,29 @@ _COMPRESSED_SHAPES = [(2, 3, 5, 1, 13), (2, 3, 6, 2, 17), (3, 3, 4, 1, 11),
                       (8191, 3, 2, 1, 5)]
 
 
+def _sketch_calls(basis, k, p):
+    """The _sketch calls of one definitional scan: (rows, h, p) when the h
+    rows of K exceed rows = m k + s(p), none otherwise.  K spans the left
+    kernel of the last j unit columns [A_d e_t], j the largest j <= n - k
+    with D - j m >= rows (0 when there is none), so h = D - rank U."""
+    from translab import modp
+
+    D, m, n = basis.shape
+    rows = m * k + modp._oversampling(p)
+    j = _blind(m, n, k, p, D)
+    U = basis[:, :, n - j:].reshape(1, D, m * j)
+    h = D - int(batched_rank_mod_p(U, p)[0]) if j else D
+    return [(rows, h, p)] if h > rows else []
+
+
+def _blind(m, n, k, q, D):
+    """j, the trailing columns the definitional scan's compression is blind
+    to: the largest j <= n - k with D - j m >= m k + s(q), or 0."""
+    from translab import modp
+
+    return max(0, min(n - k, (D - m * k - modp._oversampling(q)) // m))
+
+
 def test_surjectivity_scan_compression_is_exact(monkeypatch):
     # a compressed rank below m*k proves nothing; with a rank-deficient
     # compression every point is a candidate and the scan must still
@@ -325,7 +348,8 @@ def test_surjectivity_scan_compression_is_exact(monkeypatch):
                         monkeypatch.setattr(modp, "_TILE_CELLS", cells)
                         got = surjectivity_scan(basis, k, p, chunk)
                         monkeypatch.undo()
-                        assert fill is None or calls == [(rows, D, p)]
+                        assert fill is None or calls == _sketch_calls(
+                            basis, k, p)
                         assert got[0] == ref[0] and got[2] == ref[2], (
                             p, m, n, k, cells)
                         if not ref[0]:
@@ -565,8 +589,9 @@ def test_scan_products_are_exact():
 
 def test_scans_multiply_without_blas(monkeypatch):
     # every scan product is an integer contraction, so no BLAS product is
-    # left in modp: _mod_matmul serves only the definitional scan's one
-    # compression and the rank-one scan, and always yields signed integers
+    # left in modp: _mod_matmul serves only the definitional scan's
+    # compression (S K, then S K A) and the rank-one scan, and always
+    # yields signed integers
     from translab import modp
     from translab.deciders import rank_one_elements_ff
     from translab.families import trace_zero
@@ -587,7 +612,8 @@ def test_scans_multiply_without_blas(monkeypatch):
     basis = rng.integers(0, 5, size=(32, 8, 8))
     rows = 8 + modp._oversampling(5)
     surjectivity_scan(basis, 1, 5)
-    assert calls == [((rows, 32), (32, 64))]
+    # blind to the last 2 columns: K has 32 - 16 rows
+    assert calls == [((rows, 16), (16, 32)), ((rows, 32), (32, 64))]
     calls.clear()
     min_rank_scan(rng.integers(0, 5, size=(4, 4, 4)), 5)
     min_rank_scan(rng.integers(0, 9, size=(3, 3, 3)), 9, omega=2)
@@ -823,3 +849,184 @@ def test_first_point_hit_ranks_no_more_than_the_floor(monkeypatch):
             assert len(calls) == 1
             B, R, C = calls[0]
             assert B == 1 and B * R * C <= modp._JOIN_FLOOR, (q, m, n, D)
+
+
+# ------------------------------------- grouped probes of the definitional scan
+
+# (q, m, n, k, D) with j >= 1 blind columns: j is the largest j <= n - k
+# with D - j m >= m k + s(q); s(2) = 9, s(3) = 6, s(5) = 4, s(7) = 3
+_GROUPED_SHAPES = [(2, 3, 7, 1, 18), (2, 3, 7, 2, 19), (3, 2, 7, 1, 12),
+                   (3, 3, 6, 2, 15), (5, 2, 6, 1, 10), (5, 3, 5, 2, 13),
+                   (7, 3, 4, 1, 9), (7, 3, 5, 1, 12), (7, 3, 5, 2, 12)]
+
+
+def _grouped_basis(rng, q, m, n, k, D, x0=None, deficient=False):
+    """A random D-dimensional subspace of Mat(m, n) over GF(q), as codes.
+    With x0, every element A has h^T A x0 = 0 for a random h with nonzero
+    entries, so every input subspace holding x0 fails.  With deficient,
+    the last columns of every A_d are a multiple of one fixed matrix, so
+    the unit columns [A_d e_t] over them have rank at most 1."""
+    j = _blind(m, n, k, q, D) if deficient else 0
+    P = rng.integers(1, q, size=(m, j))
+    while True:
+        A = rng.integers(0, q, size=(D, m, n))
+        if deficient:
+            A[:, :, n - j:] = rng.integers(0, q, size=(D, 1, 1)) * P % q
+        if x0 is not None:
+            h = rng.integers(1, q, size=m)
+            t0 = int(np.flatnonzero(x0[:n - j])[0])
+            resid = np.einsum("i,dit,t->d", h, A, x0) % q
+            scale = pow(int(h[0] * x0[t0]), q - 2, q)
+            A[:, 0, t0] = (A[:, 0, t0] - resid * scale) % q
+            assert not (np.einsum("i,dit,t->d", h, A, x0) % q).any()
+        if batched_rank_mod_p(A.reshape(1, D, m * n), q)[0] == D:
+            return A
+
+
+def _planted_vectors(rng, q, n, k, j):
+    """Vectors x0 whose lines make the first failure fall, for k = 1: at
+    the first point of a group (zero on the last j coordinates), inside
+    a group (nonzero there) and at a tail representative (pivot among
+    the last j coordinates).  Their first k coordinates are zero, so the
+    first pivot set passes."""
+    out = []
+    for where in ("first", "inside", "tail"):
+        x0 = rng.integers(0, q, size=n)
+        x0[:k] = 0
+        cut = n - j
+        if where == "tail":
+            x0[:cut] = 0
+            x0[cut] = 1
+        else:
+            if k >= cut:
+                continue
+            x0[k] = 1
+            x0[cut:] = 0 if where == "first" else rng.integers(1, q, size=j)
+        out.append(x0)
+    return out
+
+
+def _where(X, j):
+    """Where the failure X (columns are the representative's rows) sits:
+    at a tail representative; at the first point of its group of points
+    equal on their first n - j columns, when every row is zero on the
+    last j; inside one, when the last row is not, for its predecessor
+    then differs only there; or elsewhere."""
+    n = len(X)
+    if not X[:n - j, -1].any():
+        return "tail"
+    if not X[n - j:].any():
+        return "first"
+    return "inside" if X[n - j:, -1].any() else "other"
+
+
+def _same_as_reference(basis, k, q, chunk):
+    ref = _surjectivity_reference(basis, k, q, chunk)
+    got = surjectivity_scan(basis, k, q, chunk)
+    assert got[0] == ref[0] and got[2] == ref[2], (basis.shape, k, q, chunk)
+    if not ref[0]:
+        assert np.array_equal(got[1], ref[1]), (basis.shape, k, q, chunk)
+    return ref
+
+
+def test_grouped_scan_matches_the_reference(monkeypatch):
+    # seeded bases blind to j >= 1 columns over GF(2), GF(3), GF(5) and
+    # GF(7) at k = 1 and 2, free and with planted failures at a group's
+    # first point, inside a group and at a tail representative; chunk 7
+    # cuts groups at piece boundaries, and one point per tile at the
+    # small shapes cuts them at tile boundaries
+    from translab import modp
+
+    rng = np.random.default_rng(29)
+    seen = set()
+    for q, m, n, k, D in _GROUPED_SHAPES:
+        j = _blind(m, n, k, q, D)
+        assert j >= 1
+        points = gaussian_binomial(n, k, q)
+        bases = [_grouped_basis(rng, q, m, n, k, D, x0)
+                 for x0 in [None] + _planted_vectors(rng, q, n, k, j)]
+        if points > 10 ** 5:
+            # for run time, one planted failure only on the largest shape:
+            # each reference scan of it ranks the 117,649 points of its
+            # first pivot set at least
+            bases = bases[2:3]
+        for basis in bases:
+            for chunk in (7, modp.DEFAULT_CHUNK)[points > 3000:]:
+                ref = _same_as_reference(basis, k, q, chunk)
+                if not ref[0]:
+                    seen.add((k, _where(ref[1], j)))
+            if points <= 500:
+                monkeypatch.setattr(modp, "_TILE_CELLS", 1)
+                _same_as_reference(basis, k, q, modp.DEFAULT_CHUNK)
+                monkeypatch.undo()
+    assert {(1, "first"), (1, "inside"), (1, "tail")} <= seen, seen
+    assert {w for kk, w in seen if kk == 2} >= {"first", "tail"}, seen
+
+
+def test_grouped_scan_with_rank_deficient_unit_columns():
+    # the unit columns [A_d e_t] over the blind columns have rank 1, so K
+    # keeps D - 1 rows and the sketch goes on top of it
+    from translab import modp
+
+    rng = np.random.default_rng(30)
+    for q, m, n, k, D in [(3, 2, 7, 1, 10), (5, 3, 5, 1, 11)]:
+        j = _blind(m, n, k, q, D)
+        assert j >= 1
+        # a tail vector is zero off the last j coordinates, where every
+        # A_d is a multiple of one matrix: it cannot be planted there
+        planted = [x0 for x0 in _planted_vectors(rng, q, n, k, j)
+                   if x0[:n - j].any()]
+        for x0 in [None] + planted:
+            basis = _grouped_basis(rng, q, m, n, k, D, x0, deficient=True)
+            U = basis[:, :, n - j:].reshape(1, D, m * j)
+            assert batched_rank_mod_p(U, q)[0] == 1
+            assert len(modp._left_kernel(U[0], q)) == D - 1
+            for chunk in (7, modp.DEFAULT_CHUNK):
+                _same_as_reference(basis, k, q, chunk)
+
+
+def test_grouped_scan_is_exact_when_every_probe_fails(monkeypatch):
+    # a zero sketch makes every probe fail: every point is then a
+    # candidate, and the scan must still return exactly what the
+    # uncompressed scan returns
+    from translab import modp
+
+    rng = np.random.default_rng(31)
+    calls = []
+
+    def sketch(r, h, q):
+        calls.append((r, h, q))
+        return np.zeros((r, h), dtype=int)
+
+    for q, m, n, k, D in [(2, 3, 7, 1, 19), (3, 2, 6, 1, 11),
+                          (7, 3, 4, 1, 10), (2, 3, 7, 2, 20)]:
+        j = _blind(m, n, k, q, D)
+        assert j >= 1
+        for x0 in [None] + _planted_vectors(rng, q, n, k, j):
+            basis = _grouped_basis(rng, q, m, n, k, D, x0)
+            for chunk in (7, modp.DEFAULT_CHUNK):
+                calls.clear()
+                monkeypatch.setattr(modp, "_sketch", sketch)
+                ref = _same_as_reference(basis, k, q, chunk)
+                monkeypatch.undo()
+                assert calls == _sketch_calls(basis, k, q) != []
+                assert x0 is None or not ref[0]
+
+
+def test_phi_block_scans_rank_one_probe_per_group(monkeypatch):
+    # work count, not time: Gr(1, 8) over GF(5) has 97,656 points; blind
+    # to the last 2 columns, each scan probes the 3,906 groups of 25
+    # points, re-ranks the 6 tail representatives and the 25 members of
+    # each failing group, about q^-5 of them.  The bound leaves room for
+    # 20 failing groups, against 97,656 matrices and more before
+    from translab.deciders import _scan_codes
+    from translab.families import phi_block_space
+
+    PB = phi_block_space(4, 1)
+    calls = _kernel_calls(monkeypatch)
+    for L in (PB, PB.preannihilator()):
+        calls.clear()
+        got = surjectivity_scan(_scan_codes(L.reduce_mod(5))[0], 1, 5)
+        assert got == (True, None, projective_count(8, 5))
+        ranked = sum(shape[0] for shape in calls)
+        assert 3906 + 6 <= ranked <= 3906 + 6 + 25 * 20, ranked

@@ -12,8 +12,10 @@ import sys
 import numpy as np
 from translab import modp
 
-# D = 12 basis matrices of Mat(2, 3) at k = 1: more than the t + s(5) = 6
-# rows of the compressed copy, so the scan sketches
+# D = 12 basis matrices of Mat(2, 3) at k = 1: the scan is blind to the
+# last j = 2 columns, and the 8 rows of K left by the 4 independent unit
+# columns are more than the t + s(5) = 6 rows of the compressed copy, so
+# the scan sketches
 calls = []
 sketch = modp._sketch
 modp._sketch = lambda *a: calls.append(a) or sketch(*a)
@@ -21,7 +23,7 @@ basis = np.eye(6, dtype=np.int64).reshape(6, 2, 3)
 basis = np.concatenate([basis, basis])
 ok, failure, points = modp.surjectivity_scan(basis, 1, 5)
 assert ok and failure is None and points == 31, (ok, points)
-assert calls == [(6, 12, 5)], calls
+assert calls == [(6, 8, 5)], calls
 print("numpy.random" in sys.modules)
 """
 

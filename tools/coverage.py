@@ -7,8 +7,10 @@ Run from the root of a checkout.  The script runs pytest in this process
 only lines of src/translab, and lists every executable line that never
 ran.  A line is keyed by its module, the qualified name of the innermost
 function around it and its stripped source text, so an edit elsewhere in
-the module does not change the key.  tools/coverage_known.txt holds the
-keys known not to run.
+the module does not change the key.  Each module's source is read once,
+when the run starts, and the keys come from that text, so an edit made
+during the run cannot shift them; the output names each file that changed
+during the run.  tools/coverage_known.txt holds the keys known not to run.
 
 Exit status 0 when the unexecuted lines are exactly the known ones, 1 when
 a line is missing from the list (it stopped running) or the list names a
@@ -58,11 +60,21 @@ def _code_lines(code, qualname_of: dict) -> None:
             _code_lines(const, qualname_of)
 
 
-def _executable(path: str) -> dict:
-    """{line: enclosing qualname} for the lines of path that compile to
-    bytecode."""
-    with open(path) as fh:
-        code = compile(fh.read(), path, "exec")
+def _sources() -> dict:
+    """{path: source text} of every module of src/translab."""
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            with open(path) as fh:
+                out[path] = fh.read()
+    return out
+
+
+def _executable(path: str, text: str) -> dict:
+    """{line: enclosing qualname} for the lines of the source text of path
+    that compile to bytecode."""
+    code = compile(text, path, "exec")
     qualname_of: dict = {}
     _code_lines(code, qualname_of)
     return qualname_of
@@ -106,31 +118,33 @@ def _trace(args: list) -> tuple:
     return int(status), failures.ids, hits
 
 
-def _unexecuted(hits: dict) -> Counter:
+def _unexecuted(hits: dict, sources: dict) -> Counter:
     keys: Counter = Counter()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(SRC, name)
-        with open(path) as fh:
-            text = fh.read().split("\n")
+    for path, text in sources.items():
+        name = os.path.basename(path)
+        lines = text.split("\n")
         ran = hits.get(path, set())
-        for line, qualname in sorted(_executable(path).items()):
+        for line, qualname in sorted(_executable(path, text).items()):
             if line not in ran:
-                keys[f"{name}:{qualname}: {text[line - 1].strip()}"] += 1
+                keys[f"{name}:{qualname}: {lines[line - 1].strip()}"] += 1
     return keys
 
 
 def main(argv: list) -> int:
     update = "--update" in argv
     args = [a for a in argv if a != "--update"] or ["tests"]
+    sources = _sources()
     status, failed, hits = _trace(args)
+    for path, text in _sources().items():
+        if sources.get(path) != text:
+            print(f"note: {os.path.basename(path)} changed during the run; "
+                  "its lines are keyed by the text read at the start")
     if status not in (0, 1) or set(failed) - WALL_CLOCK:
         print(f"pytest exited {status}; coverage not compared")
         return 2
     for nodeid in failed:
         print(f"note: {nodeid} failed its wall-clock bound under the tracer")
-    missed = _unexecuted(hits)
+    missed = _unexecuted(hits, sources)
     print("note: tests that start a subprocess (python -O) are not traced")
     if update:
         with open(KNOWN, "w") as fh:

@@ -1,7 +1,8 @@
 """Mutation check of the witness re-verifiers, the scans' witness paths,
 the interned finite-field arithmetic, the per-prime reductions and budget
-rule, the map tables, the square root of -1, intersection by duality and
-the field check of separation.
+rule, the map tables, the square root of -1, intersection by duality, the
+field check of separation and the group certificate of the definitional
+scan.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -135,6 +136,22 @@ MUTANTS = [
      "            pass",
      [DECIDERS + "test_separation_over_gf9_is_refused_at_every_budget",
       CLI + "test_sep_over_gf9_exits_one_at_every_budget"]),
+    ("group-certificate-drops-tails", "modp.py",
+     "        fails = np.ones(g1 - g0, dtype=bool)",
+     "        fails = np.zeros(g1 - g0, dtype=bool)",
+     [MODP + "test_grouped_scan_matches_the_reference",
+      MODP + "test_grouped_scan_is_exact_when_every_probe_fails"]),
+    ("group-probe-stands-for-the-next", "modp.py",
+     "    starts = np.concatenate(([0], np.flatnonzero(shift) + 1))",
+     "    starts = np.concatenate(([0], np.flatnonzero(shift) + 1))[::2]",
+     [MODP + "test_grouped_scan_matches_the_reference",
+      MODP + "test_grouped_scan_with_rank_deficient_unit_columns"]),
+    ("group-candidates-not-reranked", "modp.py",
+     "            if compress is not None and bad.size:",
+     "            if False:",
+     [MODP + "test_grouped_scan_matches_the_reference",
+      MODP + "test_grouped_scan_is_exact_when_every_probe_fails",
+      MODP + "test_phi_block_scans_rank_one_probe_per_group"]),
 ]
 
 
