@@ -557,7 +557,7 @@ def check_k_transitive(L: MatrixSubspace, k: int, strategy: str = "auto", *,
 
     # quick disproof: the canonical basis occasionally contains a witness
     for i, B in enumerate(Lp.basis):
-        if B.rank() <= k:
+        if not B.rank_exceeds(k):
             ev["steps"].append(f"basis scan hit at index {i}")
             coeffs = [Lp.field.zero()] * d
             coeffs[i] = Lp.field.one()

@@ -21,12 +21,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ParameterOutOfRange, ShapeMismatch, VerificationFailed
 from .fields import Field, QQ
-from .matrices import Mat, _eliminate_q, _matvec
+from .matrices import Mat, _matvec, _rank
 from .polynomials import (
     charpoly,
     factor_over_rationals,
@@ -397,43 +398,37 @@ def _random_subspace_of(rng, N: MatrixSubspace, d: int,
             return V
 
 
-def _min_sample_rank(rng, L: MatrixSubspace, samples: int) -> int:
-    """The least rank among L's basis matrices and `samples` combinations
-    of them with coefficients drawn by rng.randint(-2, 2), a draw of all
-    zeros in L's field skipped.  Over Q every matrix is ranked on
-    integers: the basis times the lcm of its denominators, which changes no
-    rank, combined and ranked by _eliminate_q's forward pass."""
-    m, n = L.rows, L.cols
-    nonzero = any
-    if L.field == QQ:
+def _samples_exceed_rank(rng, L: MatrixSubspace, samples: int, k: int) -> bool:
+    """Whether L's basis matrices and `samples` combinations of them with
+    coefficients drawn by rng.randint(-2, 2), a draw of all zeros in L's
+    field skipped, all have rank > k; the draws stop at the first that
+    does not.  Over Q every matrix is ranked on integers: the basis times
+    the lcm of its denominators, which changes no rank."""
+    m, n, field = L.rows, L.cols, L.field
+    if field == QQ:
         den = lcm(*(x.denominator for B in L.basis for x in B.entries()))
         mats = [[x.numerator * (den // x.denominator) for x in B.entries()]
                 for B in L.basis]
-
-        def rank(e):
-            rows = [e[i:i + n] for i in range(0, m * n, n)]
-            return len(_eliminate_q(rows, full=False)[1])
     else:
-        mats = [B.entries() for B in L.basis]
+        mats = [list(B.entries()) for B in L.basis]
 
-        def nonzero(coeffs):
-            return any(map(L.field.from_int, coeffs))
+    def drawn():
+        for _ in range(samples):
+            coeffs = [rng.randint(-2, 2) for _ in range(L.dim)]
+            if any(map(field.from_int, coeffs)):
+                terms = [(c, B) for c, B in zip(coeffs, mats) if c]
+                yield [sum(c * B[i] for c, B in terms) for i in range(m * n)]
 
-        def rank(e):
-            return Mat(L.field, m, n, e).rank()
-    best = min(map(rank, mats), default=None)
-    for _ in range(samples):
-        coeffs = [rng.randint(-2, 2) for _ in range(L.dim)]
-        if nonzero(coeffs):
-            terms = [(c, B) for c, B in zip(coeffs, mats) if c]
-            best = min(best, rank([sum(c * B[i] for c, B in terms)
-                                   for i in range(m * n)]))
-    return best
+    return all(_rank([e[i:i + n] for i in range(0, m * n, n)], field, k) > k
+               for e in chain(mats, drawn()))
 
 
 @cache
 def _phi_block_components(n: int, k: int, field: Field):
-    # cached per (n, k, field); equal fields have equal tags
+    # cached per (n, k, field); equal fields have equal tags.  Each attempt
+    # reseeds, so a filter may stop drawing at its first failure; the block
+    # space and its pre-annihilator draw nothing and are built only after
+    # the four filters on N and V pass
     _check_phi_block_params(n, k)
     dim_n = (n - k) ** 2
     r = n * n - dim_n
@@ -441,15 +436,11 @@ def _phi_block_components(n: int, k: int, field: Field):
         rng = random.Random(f"phi-block-{n}-{k}-{attempt}")
         N = random_subspace(rng, field, dim_n, n, n, 3)
         V = _random_subspace_of(rng, N, r)
-        space = _phi_blocks(n, field, partial(_phi_apply, N, V))
-        perp = space.preannihilator()
-        checks = rng
-        if (_min_sample_rank(checks, N, 24) > k
-                and _min_sample_rank(checks, N.preannihilator(), 24) > k
-                and _min_sample_rank(checks, V, 24) > k
-                and _min_sample_rank(checks, V.preannihilator(), 24) > k
-                and _min_sample_rank(checks, perp, 24) > k):
-            return N, V, space
+        if all(_samples_exceed_rank(rng, S, 24, k)
+               for S in (N, N.preannihilator(), V, V.preannihilator())):
+            space = _phi_blocks(n, field, partial(_phi_apply, N, V))
+            if _samples_exceed_rank(rng, space.preannihilator(), 24, k):
+                return N, V, space
     raise ParameterOutOfRange(
         f"no candidate for the block construction at {(n, k)} passed the "
         "rank filters")
@@ -621,22 +612,26 @@ def _rank_one_from_sign_pattern(field, usigns, vsigns) -> tuple:
                  for signs in (usigns, vsigns))
 
 
-def _block_of(T: Mat, r: int, c: int, nb: int = 4) -> Mat:
-    return Mat(T.field, nb, nb,
-               [T[r * nb + i, c * nb + j] for i in range(nb) for j in range(nb)])
+def _block_of(T: Mat, r: int, c: int, rows: int = 4, cols: int = 4) -> Mat:
+    """Block (r, c) of T cut into rows x cols blocks."""
+    return Mat(T.field, rows, cols,
+               [x for i in range(r * rows, (r + 1) * rows)
+                for x in T.row(i)[c * cols:(c + 1) * cols]])
 
 
 def _certify_rank_one_in_sum(L: MatrixSubspace, T: Mat, patterns) -> tuple:
     """Check the pairwise block equations of T against the letter patterns
     and produce an explicit decomposition T = P - Q with P in L (x) M_4
-    (pattern blocks) and Q in M_4 (x) L.
+    (pattern blocks) and Q in M_4 (x) L, kept as their 4 x 4 blocks: each
+    placement (i, j, c) adds c * Lambda to block (i, j) of P, and X_2 goes
+    to block p2 of Q.
 
     Returns (equations, all_ok, decomposition_ok)."""
     f = L.field
     equations = []
     ok = True
-    P = Mat.zeros(f, 16, 16)
-    Q = Mat.zeros(f, 16, 16)
+    zero = Mat.zeros(f, 4, 4)
+    P, Q = {}, {}
     for letter, placements in patterns.items():
         (i1, j1, c1), (i2, j2, c2) = placements
         p1, p2 = (i1, j1), (i2, j2)
@@ -651,9 +646,12 @@ def _certify_rank_one_in_sum(L: MatrixSubspace, T: Mat, patterns) -> tuple:
         ok = ok and member
         lam = T1.scale(f.one() / c1f)  # X at p1 chosen to be zero
         X2 = lam.scale(c2f) - T2
-        P = P + _pattern_matrix(f, 4, placements).kron(lam)
-        Q = Q + Mat.unit(f, 4, 4, *p2).kron(X2)
-    decomposition_ok = ok and (P - Q == T)
+        for i, j, c in placements:
+            P[i, j] = P.get((i, j), zero) + lam.scale(c)
+        Q[p2] = Q.get(p2, zero) + X2
+    decomposition_ok = ok and all(
+        P.get((i, j), zero) - Q.get((i, j), zero) == _block_of(T, i, j)
+        for i in range(4) for j in range(4))
     return equations, ok, decomposition_ok
 
 
@@ -697,9 +695,21 @@ def counterexample_certificate() -> CounterexampleCertificate:
 
 
 def _annihilates_tensor_square(S: MatrixSubspace, T: Mat) -> bool:
-    """Whether T pairs to zero with every Kronecker generator of S (x) S."""
-    return all(not Bi.kron(Bj).trace_pairing(T)
-               for Bi in S.basis for Bj in S.basis)
+    """Whether T pairs to zero with every Kronecker generator of S (x) S,
+    without forming one: Tr((A (x) B) T) = sum_ij A_ij Tr(B T_ji), T_ji
+    block (j, i) of T (Van Loan, J. Comput. Appl. Math. 123, 2000), so
+    each basis matrix B is paired once with each block."""
+    m, n = S.rows, S.cols
+    if T.shape != (n * n, m * m):
+        raise ShapeMismatch(f"T must be {n * n}x{m * m}, got {T.shape}")
+    blocks = [_block_of(T, j, i, n, m) for i in range(m) for j in range(n)]
+    z = S.field.zero()
+    for B in S.basis:
+        w = [B.trace_pairing(Tji) for Tji in blocks]
+        for A in S.basis:
+            if sum((a * x for a, x in zip(A.entries(), w) if a and x), z):
+                return False
+    return True
 
 
 def _find_main_tensor_witness(L: MatrixSubspace) -> Mat:

@@ -13,7 +13,14 @@ the zero patterns and the pivots are identical.  Three readers convert
 only what they return: the RREF divides each pivot row by its pivot, the
 kernel reads Fraction(-a, p) at the free columns of the pivot rows, and
 the rank counts the pivots of a forward-only pass without building any
-Fraction.
+Fraction; the threshold test rank_exceeds(k) stops that pass at pivot
+k + 1.
+
+Sums, differences, scalings and products skip zero operands: x + 0 is x,
+0 - b is -b, c * 0 is 0, and a zero factor adds no term to a product
+entry.  Every entry of a new matrix is checked; a matrix over Q checks
+the set of its entry types at once and falls back to the per-entry check
+(and its error) unless every entry is exactly a Fraction.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ class Mat:
             raise ValueError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
             )
-        for x in entries:
-            field.check_element(x)
+        if field != QQ or not set(map(type, entries)) <= {Fraction}:
+            for x in entries:
+                field.check_element(x)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -142,19 +150,22 @@ class Mat:
     def __add__(self, other):
         self._same_shape(other)
         return Mat(self.field, self.rows, self.cols,
-                   [a + b for a, b in zip(self._e, other._e)])
+                   [(a + b if a else b) if b else a
+                    for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other):
         self._same_shape(other)
         return Mat(self.field, self.rows, self.cols,
-                   [a - b for a, b in zip(self._e, other._e)])
+                   [(a - b if a else -b) if b else a
+                    for a, b in zip(self._e, other._e)])
 
     def __neg__(self):
         return Mat(self.field, self.rows, self.cols, [-a for a in self._e])
 
     def scale(self, c) -> "Mat":
         c = _coerce(self.field, c)
-        return Mat(self.field, self.rows, self.cols, [c * a for a in self._e])
+        return Mat(self.field, self.rows, self.cols,
+                   [c * a if a else a for a in self._e])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -172,15 +183,15 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch(f"inner dimensions differ: {self.shape} @ {other.shape}")
         z = self.field.zero()
+        ocols = [other._e[j::other.cols] for j in range(other.cols)]
         out = []
-        ot = other  # row-major access on both
         for i in range(self.rows):
             arow = self.row(i)
-            for j in range(other.cols):
+            for col in ocols:
                 s = z
-                for k, a in enumerate(arow):
-                    if a:
-                        s = s + a * ot._e[k * ot.cols + j]
+                for a, b in zip(arow, col):
+                    if a and b:
+                        s = s + a * b
                 out.append(s)
         return Mat(self.field, self.rows, other.cols, out)
 
@@ -263,9 +274,11 @@ class Mat:
                    [x for r in R for x in r]), tuple(pivots)
 
     def rank(self) -> int:
-        if self.field == QQ:
-            return len(_eliminate_q(self.tolists(), full=False)[1])
-        return len(_rref_rows(self.tolists(), self.field)[1])
+        return _rank(self.tolists(), self.field)
+
+    def rank_exceeds(self, k: int) -> bool:
+        """Whether rank > k; over Q the elimination stops at pivot k + 1."""
+        return _rank(self.tolists(), self.field, k) > k
 
     def kernel(self) -> list:
         """Basis of the right null space as coordinate tuples, in
@@ -362,6 +375,15 @@ def _pivot_steps(rows: list, ncols: int):
                 break
 
 
+def _rank(rows: list, field: Field, last: Optional[int] = None) -> int:
+    """The rank of a row list (over Q the rows may hold ints); with last
+    set, over Q, the forward pass stops at pivot last + 1 and the result
+    is min(rank, last + 1)."""
+    if field == QQ:
+        return len(_eliminate_q(rows, False, last)[1])
+    return len(_rref_rows(rows, field)[1])
+
+
 def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
     """In-place reduced row echelon over a list of row lists.
 
@@ -396,10 +418,12 @@ def _rref_rows(rows: list, field: Field) -> tuple[list, list]:
     return rows, pivots
 
 
-def _eliminate_q(rows: list, full: bool = True) -> tuple[list, list]:
+def _eliminate_q(rows: list, full: bool = True,
+                 last: Optional[int] = None) -> tuple[list, list]:
     """The elimination over Q: integer multiples of the rows after the
     Gauss-Jordan loop (after its forward pass only when full is false), and
-    the pivot columns.  Row i < len(pivots) holds pivot i."""
+    the pivot columns.  Row i < len(pivots) holds pivot i.  With last set,
+    the loop stops once it has found pivot last + 1 (index last)."""
     if not rows:
         return [], []
     ints = []
@@ -409,6 +433,9 @@ def _eliminate_q(rows: list, full: bool = True) -> tuple[list, list]:
                     if den != 1 else [x.numerator for x in row])
     pivots = []
     for r, c, _ in _pivot_steps(ints, len(ints[0])):
+        pivots.append(c)
+        if r == last:
+            break
         prow = ints[r]
         p = prow[c]
         for i in range(0 if full else r + 1, len(ints)):
@@ -421,7 +448,6 @@ def _eliminate_q(rows: list, full: bool = True) -> tuple[list, list]:
             new = [pg * a - fg * b for a, b in zip(irow, prow)]
             g = gcd(*new)
             ints[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
     return ints, pivots
 
 

@@ -1,6 +1,7 @@
 """The concrete family constructors and their claimed properties."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from translab.deciders import (
     definitional_transitivity_sample,
     min_rank_ff_exhaustive,
 )
-from translab.errors import ParameterOutOfRange
+from translab.errors import ParameterOutOfRange, ShapeMismatch
 from translab.families import (
     FamilySpec,
     build_family,
@@ -37,7 +38,12 @@ from translab.families import (
 )
 from translab.fields import GF, QI, QQ, GaussianRational
 from translab.matrices import Mat
-from translab.serialize import dumps, subspace_to_obj
+from translab.serialize import (
+    dumps,
+    mat_to_obj,
+    subspace_to_obj,
+    transitivity_verdict_to_obj,
+)
 from translab.subspace import MatrixSubspace
 
 
@@ -239,29 +245,66 @@ def _min_sample_rank_reference(rng, L, samples):
     return best
 
 
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
 def test_min_sample_rank_matches_the_element_loop():
-    # the integer ranks over Q, and the entry sums over the other fields,
-    # give the loop's minimum and draw the same rng.randint values; over
-    # GF(2) a draw of only +-2 and 0 is zero and skipped
-    import random
+    # at every k the threshold says whether the loop's minimum exceeds k;
+    # it draws the same rng.randint values while every matrix passes and
+    # stops drawing at the first that does not.  The integer ranks over Q,
+    # and the entry sums over the other fields, are compared; over GF(2) a
+    # draw of only +-2 and 0 is zero and skipped.  [[a, b], [b, a]] and
+    # [[a, b], [-b, a]] (over GF(5)) have rank-2 bases and rank-1 elements
+    from translab.families import _samples_exceed_rank, random_subspace
 
-    from translab.families import _min_sample_rank, random_subspace
-
-    denominators = set()
+    cases = []
     for field in (QQ, QI, GF(2), GF(5), GF(9)):
         for seed in range(6):
             m, n = 2 + seed % 3, 2 + seed % 2
             gen = random.Random(seed)
-            L = random_subspace(gen, field, 1 + seed % (m * n - 1), m, n, 3)
-            if field == QQ:
-                denominators.update(x.denominator for B in L.basis
-                                    for x in B.entries())
-            got, want = random.Random(seed), random.Random(seed)
-            assert (_min_sample_rank(got, L, 12)
-                    == _min_sample_rank_reference(want, L, 12)), (field, seed)
-            assert got.random() == want.random()
+            cases.append((seed, random_subspace(
+                gen, field, 1 + seed % (m * n - 1), m, n, 3)))
+    for field, sign in ((QQ, 1), (GF(5), -1)):
+        cases.append((7, MatrixSubspace.from_generators(
+            [Mat.identity(field, 2),
+             Mat.from_rows(field, [[0, 1], [sign, 0]])])))
+    denominators, outcomes = set(), set()
+    for seed, L in cases:
+        if L.field == QQ:
+            denominators.update(x.denominator for B in L.basis
+                                for x in B.entries())
+        for k in range(min(L.rows, L.cols) + 1):
+            got, want = _CountingRandom(seed), _CountingRandom(seed)
+            passed = _samples_exceed_rank(got, L, 12, k)
+            assert passed == (_min_sample_rank_reference(want, L, 12)
+                              > k), (L.field, seed, k)
+            outcomes.add((passed, 0 < got.draws < want.draws))
+            assert got.draws <= want.draws
+            if passed:
+                assert got.draws == want.draws
+                assert got.random() == want.random()
     # canonical bases over Q with fractions exercise the common multiple
     assert max(denominators) > 1
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_phi_block_bytes_are_pinned():
+    # taken before the rank filters became thresholds: the accepted
+    # candidate and every byte of the bases and the map stay
+    digests = [hashlib.sha256(dumps(subspace_to_obj(
+        phi_block_space(n, 1))).encode()).hexdigest() for n in (4, 5, 6)]
+    assert digests == [
+        "c04a773d7ba27632950436387b979dcaa6ef927afd66d9728197a6d7d681eb72",
+        "aa30eef76a776e21c2add60e5b1b63f05f575d56205dc269ff812dfb74d6d0d7",
+        "b948ad6a00322b98b2b2cee4cddcb335af44a76ee2449fc345b6772d1352b587"]
+    table = dumps(mat_to_obj(phi_block_map(4, 1).matrix))
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "2e94fa283c0fea66696140a56103050dfee00c21af8c19f6e6cbeded96002a92")
 
 
 def test_phi_block_rank_dichotomy_sampled():
@@ -354,6 +397,69 @@ def test_counterexample_certificate_full():
     assert cert.verdict_tensor_dual.status == Status.DISPROVED
     assert cert.verdict_tensor_main.status == Status.DISPROVED
     assert cert.all_ok
+
+
+def test_counterexample_certificate_bytes_are_pinned():
+    # taken while the pairings and the decomposition still summed dense
+    # Kronecker products: the block path reaches the same record
+    cert = counterexample_certificate()
+    record = {
+        "equations": cert.equations,
+        "flags": [cert.equations_ok, cert.decomposition_ok,
+                  cert.dual_pairing_ok],
+        "rank_one": [mat_to_obj(cert.rank_one_perp_tensor),
+                     mat_to_obj(cert.rank_one_main_tensor)],
+        "verdicts": [transitivity_verdict_to_obj(cert.verdict_tensor_dual),
+                     transitivity_verdict_to_obj(cert.verdict_tensor_main)],
+    }
+    assert hashlib.sha256(dumps(record).encode()).hexdigest() == (
+        "fdc6c8eece4e40551dfaf2b307d09545a4be10547cf5b7e16ff8c20f06d6b276")
+
+
+def _annihilates_by_kronecker(S, T):
+    """The pairing loop the block identity replaces: T against every
+    Kronecker product of two basis matrices of S."""
+    return all(not Bi.kron(Bj).trace_pairing(T)
+               for Bi in S.basis for Bj in S.basis)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(5), GF(9)],
+                         ids=["Q", "Qi", "GF5", "GF9"])
+def test_tensor_square_pairing_matches_the_kronecker_loop(field):
+    # Tr((A (x) B) T) = sum_ij A_ij Tr(B T_ji) with T_ji block (j, i) of T,
+    # on square and non-square S; each T below annihilates the tensor
+    # square, or pairs to zero with every Kronecker generator but one, or
+    # is drawn at random
+    from translab.families import _annihilates_tensor_square, random_subspace
+
+    rng = random.Random(41)
+    answers = set()
+    for m, n, d in ((2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 2)):
+        S = random_subspace(rng, field, d, m, n, 3)
+        gens = [(a, b, Bi.kron(Bj)) for a, Bi in enumerate(S.basis)
+                for b, Bj in enumerate(S.basis)]
+        square = MatrixSubspace.from_generators(
+            [G for _, _, G in gens], rows=m * m, cols=n * n, field=field)
+        cases = list(square.preannihilator().basis[:2])
+        for a0, b0 in ((0, 0), (0, d - 1), (d - 1, 0)):
+            rest = MatrixSubspace.from_generators(
+                [G for a, b, G in gens if (a, b) != (a0, b0)],
+                rows=m * m, cols=n * n, field=field).preannihilator()
+            one = next(T for T in rest.basis
+                       if S.basis[a0].kron(S.basis[b0]).trace_pairing(T))
+            cases.append(one)
+        cases += [Mat(field, n * n, m * m,
+                      [field.from_int(rng.randint(-1, 1))
+                       for _ in range(n * n * m * m)]) for _ in range(2)]
+        for T in cases:
+            want = _annihilates_by_kronecker(S, T)
+            assert _annihilates_tensor_square(S, T) == want, (m, n, T)
+            answers.add(want)
+        wrong = Mat.zeros(field, n * n + 1, m * m)
+        for check in (_annihilates_by_kronecker, _annihilates_tensor_square):
+            with pytest.raises(ShapeMismatch):
+                check(S, wrong)
+    assert answers == {True, False}
 
 
 # ------------------------------------------------------------ family specs

@@ -444,3 +444,94 @@ def test_det_matches_leibniz_with_row_swaps_and_when_singular(field):
                               for i in range(n) for j in range(n)])
         for M in (S, Z):
             assert M.det() == brute_force_det(M) == zero
+
+
+# ----------------------------------------- thresholds, zero operands, checks
+
+def _fraction_entry(rng, field, zeros=0.55):
+    """A random element with small numerators and denominators: a rational
+    over Q, a Gaussian rational over Q(i), any element of a finite field;
+    zero with probability zeros."""
+    if rng.random() < zeros:
+        return field.zero()
+    if field.is_finite:
+        return rng.choice(field.elements())
+    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if field == QI:
+        return GaussianRational(re, Fraction(rng.randint(-4, 4),
+                                             rng.randint(1, 3)))
+    return re
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+def test_rank_exceeds_matches_rank_at_every_k(field):
+    # rank-deficient matrices with zero rows, repeated rows and entries
+    # with denominators; at every k the threshold answers rank() > k
+    rng = random.Random(37)
+    ranks = set()
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        base = [[_fraction_entry(rng, field, 0.2) for _ in range(n)]
+                for _ in range(rng.randint(0, min(m, n)))]
+        rows = []
+        for _ in range(m):
+            coeffs = [_fraction_entry(rng, field, 0.2) for _ in base]
+            rows.append([sum((c * b[j] for c, b in zip(coeffs, base)),
+                             field.zero()) for j in range(n)])
+        if m > 1 and rng.random() < 0.5:
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [field.zero()] * n
+        A = Mat(field, m, n, [x for r in rows for x in r])
+        for k in range(min(m, n) + 1):
+            assert A.rank_exceeds(k) == (A.rank() > k), (rows, k)
+        ranks.add((A.rank(), min(m, n)))
+    assert {r for r, _ in ranks} >= {0, 1, 2, 3, 4, 5}
+    assert any(0 < r < top for r, top in ranks)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(5), GF(9)],
+                         ids=["Q", "Qi", "GF5", "GF9"])
+def test_zero_skipping_operators_match_the_entry_loop(field):
+    # +, -, scale and @ on mostly-zero matrices give the values, types and
+    # printed forms of the plain entry loops, zero operands included
+    rng = random.Random(43)
+    for _ in range(40):
+        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A, B = ([_fraction_entry(rng, field) for _ in range(m * k)]
+                for _ in range(2))
+        C = [_fraction_entry(rng, field) for _ in range(k * n)]
+        c = _fraction_entry(rng, field)
+        MA, MB = Mat(field, m, k, A), Mat(field, m, k, B)
+        MC = Mat(field, k, n, C)
+        product = [sum((A[i * k + t] * C[t * n + j] for t in range(k)),
+                       field.zero()) for i in range(m) for j in range(n)]
+        for got, want in (
+                (MA + MB, [a + b for a, b in zip(A, B)]),
+                (MA - MB, [a - b for a, b in zip(A, B)]),
+                (MA.scale(c), [c * a for a in A]),
+                (MA @ MC, product)):
+            assert list(got.entries()) == want
+            assert ([type(x) for x in got.entries()]
+                    == [type(x) for x in want])
+            assert ([field.format(x) for x in got.entries()]
+                    == [field.format(x) for x in want])
+
+
+def test_rational_entry_check_keeps_its_errors():
+    # the check by the set of entry types falls back to the per-entry
+    # check, which names the first bad entry; Fraction subclasses pass
+    class Half(Fraction):
+        pass
+
+    for bad, text in ((True, "True is not a rational (use Fraction)"),
+                      (1, "1 is not a rational (use Fraction)"),
+                      (1.0, "1.0 is not a rational (use Fraction)"),
+                      ("1", "'1' is not a rational (use Fraction)")):
+        with pytest.raises(TypeError) as err:
+            Mat(QQ, 1, 3, [Fraction(1), bad, Fraction(2)])
+        assert str(err.value) == text
+    with pytest.raises(TypeError, match=r"^1\.0 is not a rational"):
+        Mat(QQ, 1, 3, [Fraction(1), 1.0, "1"])
+    A = Mat(QQ, 1, 2, [Fraction(1), Half(1, 2)])
+    assert type(A[0, 1]) is Half and A[0, 1] == Fraction(1, 2)

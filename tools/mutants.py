@@ -1,8 +1,9 @@
 """Mutation check of the witness re-verifiers, the scans' witness paths,
 the interned finite-field arithmetic, the per-prime reductions and budget
 rule, the map tables, the square root of -1, intersection by duality, the
-field check of separation and the group certificate of the definitional
-scan.
+field check of separation, the group certificate of the definitional
+scan, the block pairing of tensor squares, the threshold rank and the
+zero-skipping difference.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -152,6 +153,19 @@ MUTANTS = [
      [MODP + "test_grouped_scan_matches_the_reference",
       MODP + "test_grouped_scan_is_exact_when_every_probe_fails",
       MODP + "test_phi_block_scans_rank_one_probe_per_group"]),
+    ("tensor-pairing-reads-block-ij", "families.py",
+     "    blocks = [_block_of(T, j, i, n, m) for i in range(m) for j in range(n)]",
+     "    blocks = [_block_of(T, i, j, n, m) for i in range(m) for j in range(n)]",
+     [FAMILIES + "test_tensor_square_pairing_matches_the_kronecker_loop",
+      FAMILIES + "test_counterexample_certificate_bytes_are_pinned"]),
+    ("rank-threshold-stops-at-pivot-k", "matrices.py",
+     "        if r == last:", "        if r + 1 == last:",
+     [MATRICES + "test_rank_exceeds_matches_rank_at_every_k",
+      FAMILIES + "test_min_sample_rank_matches_the_element_loop"]),
+    ("difference-keeps-subtrahend-sign", "matrices.py",
+     "                   [(a - b if a else -b) if b else a",
+     "                   [(a - b if a else b) if b else a",
+     [MATRICES + "test_zero_skipping_operators_match_the_entry_loop"]),
 ]
 
 
